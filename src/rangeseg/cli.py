@@ -30,6 +30,7 @@ from .metrics import ConfusionMatrix
 from .model import build_model, micro_config
 from .pointcloud import (
     ClassMap,
+    decode_kitti_labels,
     default_scene_spec,
     generate_synthetic_scene,
     read_kitti_labels,
@@ -287,12 +288,6 @@ def cmd_infer(args):
     return 0
 
 
-def _read_label_file(path):
-    with open(path, "rb") as fh:
-        raw = np.frombuffer(fh.read(), dtype="<u4")
-    return (raw & 0xFFFF).astype(np.int64)
-
-
 def cmd_eval(args):
     preds = _expand_label_sources(args.pred, "prediction file")
     gts = _expand_label_sources(args.gt, "label file")
@@ -308,8 +303,8 @@ def cmd_eval(args):
     cm = ConfusionMatrix(num_classes)
     counts = 0
     for stem in sorted(pred_by_stem):
-        p = _read_label_file(pred_by_stem[stem])
-        g = _read_label_file(gt_by_stem[stem])
+        with open(pred_by_stem[stem], "rb") as fp, open(gt_by_stem[stem], "rb") as fg:
+            p, g = decode_kitti_labels(fp.read()), decode_kitti_labels(fg.read())
         if len(p) != len(g):
             raise UsageError(f"{stem}: {len(p)} predictions vs {len(g)} labels")
         if class_map is not None:
@@ -450,7 +445,6 @@ def build_parser():
     p.add_argument("--classmap", help="write benchmark raw ids using this map")
     p.add_argument("--out-dir", required=True)
     p.add_argument("--png", action="store_true", help="also write label-map images")
-    p.add_argument("--seed", type=int, default=0)
     _proj_flags(p)
     _knn_flags(p)
     p.set_defaults(func=cmd_infer)
@@ -482,7 +476,6 @@ def build_parser():
     p = sub.add_parser("project", help="inspect the spherical projection of one scan")
     p.add_argument("--scan", required=True)
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--seed", type=int, default=0)
     _proj_flags(p)
     p.set_defaults(func=cmd_project)
 

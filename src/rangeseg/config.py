@@ -94,14 +94,6 @@ _TRAIN_FIELD_PARSERS = {
 }
 
 
-def train_config_to_dict(cfg: TrainConfig) -> dict:
-    out = {}
-    for f in fields(cfg):
-        v = getattr(cfg, f.name)
-        out[f.name] = repr(v) if isinstance(v, float) else str(v)
-    return out
-
-
 def train_config_from_dict(d: dict) -> TrainConfig:
     return TrainConfig(**_parse_fields(d, _TRAIN_FIELD_PARSERS, "train"))
 

@@ -13,9 +13,14 @@ probabilities. Shape of the thing:
 
 Every convolution is followed by a leaky ReLU and batch normalization.
 Dropout sits in every encoder/decoder stage except the first encoder stage
-and the last decoder stage. Forward and backward are hand-rolled; each block
-caches what its own backward needs, so Model.backward must follow a
-cache-enabled forward.
+and the last decoder stage.
+
+Each block wires its layers once, in ``run``: fed an array it runs the
+forward pass, fed a GaussianTensor it runs assumed density filtering (each
+layer's ADF rule, eval-mode statistics). ``children()`` lists a block's parts
+once, and ``layers()``/``macs()`` derive from it. ``backward`` is the
+hand-written adjoint; each layer caches what its backward needs, so
+Model.backward must follow a cache-enabled forward.
 """
 
 from __future__ import annotations
@@ -98,8 +103,63 @@ class _RunState:
         self.rate = rate
         self.cache = cache
 
+    def apply(self, layer, x):
+        """The layer's forward on an array, its ADF rule on a GaussianTensor."""
+        if isinstance(x, GaussianTensor):
+            return adf_forward(layer, x)
+        if isinstance(layer, BatchNorm2d):
+            return layer.forward(x, train=self.bn_train, cache=self.cache)
+        if isinstance(layer, ChannelDropout):
+            return layer.forward(x, active=self.drop_active, rng=self.rng, rate=self.rate, cache=self.cache)
+        return layer.forward(x, cache=self.cache)
 
-class ConvUnit:
+
+def _cat(parts):
+    """Channel concatenation of arrays, or of Gaussians' means and variances."""
+    if isinstance(parts[0], GaussianTensor):
+        return GaussianTensor(
+            np.concatenate([p.mean for p in parts], axis=1),
+            np.concatenate([p.variance for p in parts], axis=1),
+        )
+    return np.concatenate(parts, axis=1)
+
+
+def _add(a, b):
+    # residual merges treat the branches as independent (moment matching)
+    if isinstance(a, GaussianTensor):
+        return GaussianTensor(a.mean + b.mean, a.variance + b.variance)
+    return a + b
+
+
+class _Block:
+    """A block lists its children once; layers() and macs() derive from that.
+
+    children() yields ordered (name, sub-block | layer | None) pairs, None
+    marking an absent optional layer.
+    """
+
+    def layers(self):
+        for name, child in self.children():
+            if isinstance(child, _Block):
+                for sub, layer in child.layers():
+                    yield f"{name}.{sub}", layer
+            elif child is not None:
+                yield name, child
+
+    def macs(self, h, w):
+        """Conv multiply-accumulates for an (h, w) input, tracking pooling and upsampling."""
+        total = 0
+        for _, layer in self.layers():
+            if isinstance(layer, Conv2d):
+                total += layer.macs(h, w)
+            elif isinstance(layer, AvgPool2x2):
+                h, w = (h + 1) // 2, (w + 1) // 2
+            elif isinstance(layer, PixelShuffle):
+                h, w = h * layer.r, w * layer.r
+        return total
+
+
+class ConvUnit(_Block):
     """conv -> leaky ReLU -> batch norm, the pattern used on every conv here."""
 
     def __init__(self, c_in, c_out, k, dilation, cfg: ModelConfig, rng):
@@ -107,31 +167,19 @@ class ConvUnit:
         self.act = LeakyReLU(cfg.leaky_slope)
         self.bn = BatchNorm2d(c_out, eps=cfg.bn_eps, momentum=cfg.bn_momentum)
 
-    def forward(self, x, rs: _RunState):
-        y = self.conv.forward(x, cache=rs.cache)
-        y = self.act.forward(y, cache=rs.cache)
-        return self.bn.forward(y, train=rs.bn_train, cache=rs.cache)
+    def children(self):
+        return [("conv", self.conv), ("act", self.act), ("bn", self.bn)]
+
+    def run(self, x, rs: _RunState):
+        for _, layer in self.children():
+            x = rs.apply(layer, x)
+        return x
 
     def backward(self, g):
         return self.conv.backward(self.act.backward(self.bn.backward(g)))
 
-    def adf(self, g: GaussianTensor) -> GaussianTensor:
-        for layer in (self.conv, self.act, self.bn):
-            g = adf_forward(layer, g)
-        return g
 
-    def layers(self):
-        yield "conv", self.conv
-        yield "act", self.act
-        yield "bn", self.bn
-
-
-def _sum_gaussians(a: GaussianTensor, b: GaussianTensor) -> GaussianTensor:
-    # residual merges treat the branches as independent (moment matching)
-    return GaussianTensor(a.mean + b.mean, a.variance + b.variance)
-
-
-class ContextBlock:
+class ContextBlock(_Block):
     """Residual pairing of a 1x1 shortcut with a 3x3 then dilated-3x3 path."""
 
     def __init__(self, c_in, c_out, cfg: ModelConfig, rng):
@@ -139,25 +187,17 @@ class ContextBlock:
         self.main1 = ConvUnit(c_in, c_out, 3, 1, cfg, rng)
         self.main2 = ConvUnit(c_out, c_out, 3, 2, cfg, rng)
 
-    def forward(self, x, rs):
-        return self.short.forward(x, rs) + self.main2.forward(self.main1.forward(x, rs), rs)
+    def children(self):
+        return [("short", self.short), ("main1", self.main1), ("main2", self.main2)]
+
+    def run(self, x, rs):
+        return _add(self.short.run(x, rs), self.main2.run(self.main1.run(x, rs), rs))
 
     def backward(self, g):
         return self.short.backward(g) + self.main1.backward(self.main2.backward(g))
 
-    def adf(self, g):
-        return _sum_gaussians(self.short.adf(g), self.main2.adf(self.main1.adf(g)))
 
-    def layers(self):
-        for unit_name in ("short", "main1", "main2"):
-            for name, layer in getattr(self, unit_name).layers():
-                yield f"{unit_name}.{name}", layer
-
-    def macs(self, h, w):
-        return sum(u.conv.macs(h, w) for u in (self.short, self.main1, self.main2))
-
-
-class DilatedFusionBlock:
+class DilatedFusionBlock(_Block):
     """Three parallel 3x3 branches at dilation 1/2/3 (receptive fields 3/5/7),
     concatenated and fused by a 1x1 conv, with a residual connection.
 
@@ -171,10 +211,13 @@ class DilatedFusionBlock:
         self.fuse = ConvUnit(3 * c_out, c_out, 1, 1, cfg, rng)
         self.project = None if c_in == c_out else ConvUnit(c_in, c_out, 1, 1, cfg, rng)
 
-    def forward(self, x, rs):
-        cat = np.concatenate([b.forward(x, rs) for b in self.branches], axis=1)
-        y = self.fuse.forward(cat, rs)
-        return y + (x if self.project is None else self.project.forward(x, rs))
+    def children(self):
+        named = [(f"branch{i}", b) for i, b in enumerate(self.branches, start=1)]
+        return named + [("fuse", self.fuse), ("project", self.project)]
+
+    def run(self, x, rs):
+        y = self.fuse.run(_cat([b.run(x, rs) for b in self.branches]), rs)
+        return _add(y, x if self.project is None else self.project.run(x, rs))
 
     def backward(self, g):
         g_cat = self.fuse.backward(g)
@@ -185,43 +228,22 @@ class DilatedFusionBlock:
         gx += g if self.project is None else self.project.backward(g)
         return gx
 
-    def adf(self, g):
-        outs = [b.adf(g) for b in self.branches]
-        cat = GaussianTensor(
-            np.concatenate([o.mean for o in outs], axis=1),
-            np.concatenate([o.variance for o in outs], axis=1),
-        )
-        fused = self.fuse.adf(cat)
-        return _sum_gaussians(fused, g if self.project is None else self.project.adf(g))
 
-    def layers(self):
-        for i, b in enumerate(self.branches, start=1):
-            for name, layer in b.layers():
-                yield f"branch{i}.{name}", layer
-        for name, layer in self.fuse.layers():
-            yield f"fuse.{name}", layer
-        if self.project is not None:
-            for name, layer in self.project.layers():
-                yield f"project.{name}", layer
-
-    def macs(self, h, w):
-        units = self.branches + [self.fuse] + ([] if self.project is None else [self.project])
-        return sum(u.conv.macs(h, w) for u in units)
-
-
-class EncoderStage:
+class EncoderStage(_Block):
     def __init__(self, c_in, c_out, pooled, has_dropout, cfg: ModelConfig, rng):
         self.block = DilatedFusionBlock(c_in, c_out, cfg, rng)
         self.drop = ChannelDropout(cfg.dropout_rate) if has_dropout else None
         self.pool = AvgPool2x2() if pooled else None
 
-    def forward(self, x, rs):
-        f = self.block.forward(x, rs)
+    def children(self):
+        return [("block", self.block), ("drop", self.drop), ("pool", self.pool)]
+
+    def run(self, x, rs):
+        f = self.block.run(x, rs)
         out = f
-        if self.drop is not None:
-            out = self.drop.forward(out, active=rs.drop_active, rng=rs.rng, rate=rs.rate, cache=rs.cache)
-        if self.pool is not None:
-            out = self.pool.forward(out, cache=rs.cache)
+        for layer in (self.drop, self.pool):
+            if layer is not None:
+                out = rs.apply(layer, out)
         return f, out  # f is the skip tensor, taken before dropout
 
     def backward(self, g, g_skip):
@@ -233,25 +255,8 @@ class EncoderStage:
             g = g + g_skip
         return self.block.backward(g)
 
-    def adf(self, g, analysis=False, rate=None):
-        f = self.block.adf(g)
-        out = f
-        if self.drop is not None:
-            out = adf_forward(self.drop, out, analysis=analysis, rate=rate)
-        if self.pool is not None:
-            out = adf_forward(self.pool, out)
-        return f, out
 
-    def layers(self):
-        for name, layer in self.block.layers():
-            yield f"block.{name}", layer
-        if self.drop is not None:
-            yield "drop", self.drop
-        if self.pool is not None:
-            yield "pool", self.pool
-
-
-class DecoderStage:
+class DecoderStage(_Block):
     def __init__(self, c_in, skip_c, c_out, has_dropout, cfg: ModelConfig, rng):
         if c_in % 4:
             raise ConfigError(f"decoder input of {c_in} channels cannot pixel-shuffle")
@@ -260,12 +265,12 @@ class DecoderStage:
         self.block = DilatedFusionBlock(self.up_c + skip_c, c_out, cfg, rng)
         self.drop = ChannelDropout(cfg.dropout_rate) if has_dropout else None
 
-    def forward(self, x, skip, rs):
-        u = self.up.forward(x, cache=rs.cache)
-        y = self.block.forward(np.concatenate([u, skip], axis=1), rs)
-        if self.drop is not None:
-            y = self.drop.forward(y, active=rs.drop_active, rng=rs.rng, rate=rs.rate, cache=rs.cache)
-        return y
+    def children(self):
+        return [("up", self.up), ("block", self.block), ("drop", self.drop)]
+
+    def run(self, x, skip, rs):
+        y = self.block.run(_cat([rs.apply(self.up, x), skip]), rs)
+        return y if self.drop is None else rs.apply(self.drop, y)
 
     def backward(self, g):
         if self.drop is not None:
@@ -273,26 +278,8 @@ class DecoderStage:
         g_cat = self.block.backward(g)
         return self.up.backward(g_cat[:, : self.up_c]), g_cat[:, self.up_c :]
 
-    def adf(self, g, skip, analysis=False, rate=None):
-        u = adf_forward(self.up, g)
-        cat = GaussianTensor(
-            np.concatenate([u.mean, skip.mean], axis=1),
-            np.concatenate([u.variance, skip.variance], axis=1),
-        )
-        y = self.block.adf(cat)
-        if self.drop is not None:
-            y = adf_forward(self.drop, y, analysis=analysis, rate=rate)
-        return y
 
-    def layers(self):
-        yield "up", self.up
-        for name, layer in self.block.layers():
-            yield f"block.{name}", layer
-        if self.drop is not None:
-            yield "drop", self.drop
-
-
-class Model:
+class Model(_Block):
     """The assembled network. Build with build_model for seeded init."""
 
     def __init__(self, cfg: ModelConfig, rng):
@@ -321,17 +308,17 @@ class Model:
 
     # ---- plumbing ----------------------------------------------------
 
-    def named_layers(self):
+    def children(self):
         for i, blk in enumerate(self.context):
-            for name, layer in blk.layers():
-                yield f"context{i}.{name}", layer
+            yield f"context{i}", blk
         for i, st in enumerate(self.encoder):
-            for name, layer in st.layers():
-                yield f"enc{i}.{name}", layer
+            yield f"enc{i}", st
         for j, st in enumerate(self.decoder):
-            for name, layer in st.layers():
-                yield f"dec{j}.{name}", layer
+            yield f"dec{j}", st
         yield "head", self.head
+
+    def named_layers(self):
+        return self.layers()
 
     def named_params(self):
         for prefix, layer in self.named_layers():
@@ -386,19 +373,21 @@ class Model:
         if rng is None and seed is not None:
             rng = np.random.default_rng(seed)
         rs = _RunState(mode == "train", mode in ("train", "mc"), rng, rate, cache)
-        h = x
+        probs = self._run(x, rs)
+        return probs[0] if squeeze else probs
+
+    def _run(self, h, rs):
+        """The one traversal: an array gives probabilities, a GaussianTensor their moments."""
         for blk in self.context:
-            h = blk.forward(h, rs)
+            h = blk.run(h, rs)
         skips = []
         for st in self.encoder:
-            f, h = st.forward(h, rs)
+            f, h = st.run(h, rs)
             if st.pool is not None:
                 skips.append(f)
-        for j, st in enumerate(self.decoder):
-            h = st.forward(h, skips[len(skips) - 1 - j], rs)
-        h = self.head.forward(h, cache=cache)
-        probs = self.softmax.forward(h, cache=cache)
-        return probs[0] if squeeze else probs
+        for st in self.decoder:
+            h = st.run(h, skips.pop(), rs)
+        return rs.apply(self.softmax, rs.apply(self.head, h))
 
     def backward(self, g_probs):
         """Backprop d(loss)/d(probabilities); accumulates into Param.grad."""
@@ -416,25 +405,12 @@ class Model:
             g = blk.backward(g)
         return g
 
-    def adf(self, g: GaussianTensor, analysis=False, rate=None) -> GaussianTensor:
+    def adf(self, g: GaussianTensor) -> GaussianTensor:
         """Propagate a Gaussian input through the net (eval-mode statistics)."""
         if g.mean.ndim != 4:
             raise DimensionError(f"ADF input must be batched 4D, got {g.mean.shape}")
         self._check_input(g.mean)
-        for blk in self.context:
-            g = blk.adf(g)
-        skips = []
-        for st in self.encoder:
-            f, g = st.adf(g, analysis=analysis, rate=rate)
-            if st.pool is not None:
-                skips.append(f)
-        for j, st in enumerate(self.decoder):
-            g = st.adf(g, skips[len(skips) - 1 - j], analysis=analysis, rate=rate)
-        mean = self.head._correlate(
-            g.mean, self.head.kernel.value.astype(g.mean.dtype), self.head.bias.value.astype(g.mean.dtype)
-        )
-        var = self.head._correlate(g.variance, self.head.kernel.value.astype(g.mean.dtype) ** 2)
-        return adf_forward(self.softmax, GaussianTensor(mean, np.maximum(var, 0)))
+        return self._run(g, _RunState(False, False, None, None, False))
 
     # ---- accounting ----------------------------------------------------
 
@@ -446,17 +422,7 @@ class Model:
         div = 1 << self.cfg.num_pool_stages
         if h % div or w % div:
             raise DimensionError(f"spatial size ({h}, {w}) not divisible by {div}")
-        macs = sum(blk.macs(h, w) for blk in self.context)
-        ch, cw = h, w
-        for st in self.encoder:
-            macs += st.block.macs(ch, cw)
-            if st.pool is not None:
-                ch, cw = ch // 2, cw // 2
-        for st in self.decoder:
-            ch, cw = ch * 2, cw * 2
-            macs += st.block.macs(ch, cw)
-        macs += self.head.macs(h, w)
-        return 2 * macs
+        return 2 * self.macs(h, w)
 
 
 def count_parameters(params) -> int:

@@ -151,18 +151,22 @@ def write_kitti_scan(scan: LidarScan) -> bytes:
     return data.tobytes()
 
 
+def decode_kitti_labels(blob: bytes) -> np.ndarray:
+    """Raw semantic ids (int64) of a `.label` payload: the low 16 bits of each entry."""
+    if len(blob) % KITTI_LABEL_BYTES != 0:
+        raise ScanFormatError(f"label payload of {len(blob)} bytes is not a multiple of 4")
+    return (np.frombuffer(blob, dtype="<u4") & 0xFFFF).astype(np.int64)
+
+
 def read_kitti_labels(blob: bytes, scan: LidarScan, class_map: ClassMap | None = None) -> LidarScan:
     """Attach labels from a `.label` payload; low 16 bits hold the semantic id.
 
     With a class map the raw ids are remapped to contiguous training indices;
     without one they are used as-is.
     """
-    if len(blob) % KITTI_LABEL_BYTES != 0:
-        raise ScanFormatError(f"label payload of {len(blob)} bytes is not a multiple of 4")
-    raw = np.frombuffer(blob, dtype="<u4")
-    if len(raw) != len(scan):
-        raise ScanFormatError(f"{len(raw)} labels for {len(scan)} points")
-    semantic = (raw & 0xFFFF).astype(np.int64)
+    semantic = decode_kitti_labels(blob)
+    if len(semantic) != len(scan):
+        raise ScanFormatError(f"{len(semantic)} labels for {len(scan)} points")
     labels = class_map.remap(semantic) if class_map is not None else semantic.astype(np.int32)
     return scan.with_labels(labels)
 

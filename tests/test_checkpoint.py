@@ -1,6 +1,8 @@
 """Checkpoint container: round trips, corruption, and version handling."""
 
+import os
 import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -139,6 +141,23 @@ class TestRejection:
 
     def test_magic_spelled_as_documented(self):
         assert MAGIC == b"RSEGCKPT" and VERSION == 1
+
+
+class TestLayout:
+    """Tensor names fix the file layout; a consistent rename would orphan saved files."""
+
+    def test_committed_checkpoint_loads(self):
+        path = os.path.join(os.path.dirname(__file__), "..", "benchmarks", "micro.rseg")
+        _, cfg, _ = load_checkpoint(path)
+        assert cfg == micro_config(num_classes=4)
+
+    def test_micro_tensor_names_pinned(self):
+        m = build_model(micro_config(), seed=0)
+        names = [n for n, _ in m.named_params()] + [n for n, _ in m.named_buffers()]
+        assert len(names) == 158
+        assert names[0] == "context0.short.conv.kernel"
+        assert names[-1] == "dec1.block.project.bn.running_var"
+        assert zlib.crc32("\n".join(names).encode()) == 3509744970
 
 
 class TestConfigBlock:

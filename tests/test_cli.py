@@ -228,6 +228,16 @@ def test_eval_length_mismatch_exits_two(ws, pred_dir, tmp_path):
     assert rc == 2
 
 
+def test_eval_truncated_label_file_exits_one(ws, tmp_path, capsys):
+    bad_pred = tmp_path / "pred"
+    bad_pred.mkdir()
+    for name in os.listdir(str(ws.gt_dir)):
+        (bad_pred / name).write_bytes(b"\x00" * 5)
+    rc = main(["eval", "--pred", str(bad_pred), "--gt", str(ws.gt_dir), "--classes", "4"])
+    assert rc == 1
+    assert "ScanFormatError" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------- uncertainty
 
 
