@@ -35,7 +35,7 @@ class GaussianTensor:
             raise InvalidDistributionError("mean and variance shapes differ")
         if np.any(self.variance < 0):
             raise InvalidDistributionError("negative variance")
-        self.variance = np.maximum(self.variance, VARIANCE_FLOOR).astype(self.mean.dtype)
+        self.variance = np.maximum(self.variance, VARIANCE_FLOOR).astype(self.mean.dtype, copy=False)
 
 
 def _floored(mean, var):
@@ -44,9 +44,9 @@ def _floored(mean, var):
 
 def conv2d_adf(layer: Conv2d, g: GaussianTensor) -> GaussianTensor:
     """Exact propagation through an affine map: E via W, Var via W^2."""
-    dtype = g.mean.dtype
-    mean = layer._correlate(g.mean, layer.kernel.value.astype(dtype), layer.bias.value.astype(dtype))
-    var = layer._correlate(g.variance, (layer.kernel.value.astype(dtype)) ** 2)
+    kernel = layer.kernel.value.astype(g.mean.dtype, copy=False)
+    mean = layer._correlate(g.mean, kernel, layer.bias.value.astype(kernel.dtype, copy=False))
+    var = layer._correlate(g.variance, kernel**2)
     return _floored(mean, var)
 
 

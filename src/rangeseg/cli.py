@@ -24,7 +24,7 @@ from .config import (
     model_config_from_dict,
     train_config_from_dict,
 )
-from .errors import RangesegError
+from .errors import InvalidPointError, RangesegError, ScanFormatError
 from .imageio import save_grayscale, save_labels
 from .metrics import ConfusionMatrix
 from .model import build_model, micro_config
@@ -91,13 +91,13 @@ def _manifest(command, args_dict, timings_ms, extra=None):
 
 
 def _proj_from_args(args, extras=None):
-    """Projection geometry: CLI flags override checkpoint extras override defaults."""
-    extras = extras or {}
-    w = args.width if args.width is not None else int(extras.get("proj.w", 2048))
-    h = args.height if args.height is not None else int(extras.get("proj.h", 64))
-    up = args.fov_up if args.fov_up is not None else math.degrees(float(extras.get("proj.fov_up", math.radians(3.0))))
-    down = args.fov_down if args.fov_down is not None else math.degrees(float(extras.get("proj.fov_down", math.radians(-25.0))))
-    return ProjectionConfig(w=w, h=h, fov_up=math.radians(up), fov_down=math.radians(down))
+    """Projection: CLI flags (degrees) override checkpoint extras (radians) override defaults."""
+    extras, d = extras or {}, ProjectionConfig()
+    w = args.width if args.width is not None else int(extras.get("proj.w", d.w))
+    h = args.height if args.height is not None else int(extras.get("proj.h", d.h))
+    up = math.radians(args.fov_up) if args.fov_up is not None else float(extras.get("proj.fov_up", d.fov_up))
+    down = math.radians(args.fov_down) if args.fov_down is not None else float(extras.get("proj.fov_down", d.fov_down))
+    return ProjectionConfig(w=w, h=h, fov_up=up, fov_down=down)
 
 
 def _proj_flags(p):
@@ -140,19 +140,25 @@ def _stem(path):
     return os.path.splitext(os.path.basename(path))[0]
 
 
+def _decode_file(path, what, decode, *args):
+    """decode(bytes of path, *args); a format error names the file it came from."""
+    with open(_require_file(path, what), "rb") as fh:
+        try:
+            return decode(fh.read(), *args)
+        except (ScanFormatError, InvalidPointError) as exc:
+            raise type(exc)(f"{path}: {exc}") from exc
+
+
 def _load_scan(path):
-    with open(_require_file(path, "scan"), "rb") as fh:
-        return read_kitti_scan(fh.read())
+    return _decode_file(path, "scan", read_kitti_scan)
 
 
 def _load_synthetic_dataset(args):
-    spec0 = None
     scans = []
     for i in range(args.num_scans):
         spec = default_scene_spec(args.seed + i, num_classes=args.classes, rows=args.height or 64, cols=args.width or 512)
-        spec0 = spec0 or spec
         scans.append(generate_synthetic_scene(seed=10_000 + args.seed + i, spec=spec))
-    return scans, spec0
+    return scans
 
 
 def _load_dir_dataset(data_dir, class_map):
@@ -163,10 +169,7 @@ def _load_dir_dataset(data_dir, class_map):
     for name in bins:
         scan = _load_scan(os.path.join(data_dir, name))
         label_path = os.path.join(data_dir, _stem(name) + ".label")
-        _require_file(label_path, "label file")
-        with open(label_path, "rb") as fh:
-            scan = read_kitti_labels(fh.read(), scan, class_map)
-        scans.append(scan)
+        scans.append(_decode_file(label_path, "label file", read_kitti_labels, scan, class_map))
     return scans
 
 
@@ -184,7 +187,7 @@ def cmd_train(args):
         scans = _load_dir_dataset(args.data, class_map)
         num_classes = class_map.num_classes if class_map else int(max(s.labels.max() for s in scans)) + 1
     else:
-        scans, _ = _load_synthetic_dataset(args)
+        scans = _load_synthetic_dataset(args)
         num_classes = args.classes
 
     if args.model_config:
@@ -303,8 +306,8 @@ def cmd_eval(args):
     cm = ConfusionMatrix(num_classes)
     counts = 0
     for stem in sorted(pred_by_stem):
-        with open(pred_by_stem[stem], "rb") as fp, open(gt_by_stem[stem], "rb") as fg:
-            p, g = decode_kitti_labels(fp.read()), decode_kitti_labels(fg.read())
+        p = _decode_file(pred_by_stem[stem], "prediction file", decode_kitti_labels)
+        g = _decode_file(gt_by_stem[stem], "label file", decode_kitti_labels)
         if len(p) != len(g):
             raise UsageError(f"{stem}: {len(p)} predictions vs {len(g)} labels")
         if class_map is not None:
@@ -359,8 +362,7 @@ def cmd_uncertainty(args):
             np.save(os.path.join(out_dir, f"{stem}_aleatoric.npy"), adf.aleatoric)
             outputs.append(save_grayscale(os.path.join(out_dir, f"{stem}_aleatoric.png"), adf.aleatoric))
         if args.gt:
-            with open(_require_file(args.gt[i], "label file"), "rb") as fh:
-                labeled = read_kitti_labels(fh.read(), scan)
+            labeled = _decode_file(args.gt[i], "label file", read_kitti_labels, scan)
             calibration.append((img.channels, img.label_image(labeled.labels, fill=0), img.valid))
 
     result = {"outputs": outputs, "mc_trials": args.mc_trials}

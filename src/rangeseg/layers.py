@@ -9,6 +9,7 @@ There is no autodiff graph — the model wires these calls explicitly.
 from __future__ import annotations
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DimensionError, StaleStateError
 
@@ -57,7 +58,8 @@ class Layer:
 class Conv2d(Layer):
     """Dilated cross-correlation, stride 1, same-padding by default.
 
-    Effective receptive field per axis is dilation*(k-1)+1.
+    Effective receptive field per axis is dilation*(k-1)+1. The input gradient
+    is the correlation of gy with the flipped, channel-transposed kernel.
     """
 
     def __init__(self, c_in, c_out, k=3, dilation=1, padding=None, rng=None, dtype=np.float32):
@@ -78,31 +80,41 @@ class Conv2d(Layer):
     # are the same BLAS calls either way, so chunking does not change a bit
     COLS_CHUNK_BYTES = 1 << 20
 
-    def _correlate(self, x, weight, bias=None):
+    def _columns(self, x, p):
+        """Yield (first image, (m, c*k*k, ho*wo) columns) of x padded by p, cropped if p < 0."""
         n, c, h, w = x.shape
-        if c != self.c_in:
-            raise DimensionError(f"conv expects {self.c_in} channels, got {c}")
-        p, d, k = self.padding, self.dilation, self.k
+        d, k = self.dilation, self.k
+        if k == 1 and not p:
+            yield 0, x.reshape(n, c, h * w)
+            return
+        if p < 0:
+            x, h, w, p = x[:, :, -p : h + p, -p : w + p], h + 2 * p, w + 2 * p, 0
         ho, wo = h + 2 * p - d * (k - 1), w + 2 * p - d * (k - 1)
+        nb = min(n, max(1, self.COLS_CHUNK_BYTES // (c * k * k * ho * wo * x.itemsize)))
+        cols = np.empty((nb, c, k, k, ho, wo), dtype=x.dtype)
+        xp = np.zeros((nb, c, h + 2 * p, w + 2 * p), dtype=x.dtype)  # border stays 0
+        for s in range(0, n, nb):
+            m = min(nb, n - s)
+            xp[:m, :, p : p + h, p : p + w] = x[s : s + m]
+            taps = sliding_window_view(xp[:m], (d * (k - 1) + 1,) * 2, axis=(2, 3))[..., ::d, ::d]
+            cols[:m] = taps.transpose(0, 1, 4, 5, 2, 3)
+            yield s, cols[:m].reshape(m, c * k * k, ho * wo)
+
+    def _correlate(self, x, weight, bias=None, p=None):
+        """x correlated with a (c_out, c, k, k) weight at padding p (default: the layer's)."""
+        n, c, h, w = x.shape
+        c_out = weight.shape[0]
+        if c != weight.shape[1]:
+            raise DimensionError(f"conv expects {weight.shape[1]} channels, got {c}")
+        p = self.padding if p is None else p
+        ho, wo = h + 2 * p - self.dilation * (self.k - 1), w + 2 * p - self.dilation * (self.k - 1)
         if ho <= 0 or wo <= 0:
             raise DimensionError(f"kernel does not fit input of spatial size {h}x{w}")
-        if k == 1 and not p:
-            y = np.matmul(weight.reshape(self.c_out, c), x.reshape(n, c, h * w))
-        else:
-            # im2col: one fat matmul per image beats k*k skinny ones
-            kk = c * k * k
-            y = np.empty((n, self.c_out, ho * wo), dtype=np.result_type(weight, x))
-            nb = min(n, max(1, self.COLS_CHUNK_BYTES // (kk * ho * wo * x.itemsize)))
-            cols = np.empty((nb, c, k, k, ho, wo), dtype=x.dtype)
-            xp = np.zeros((nb, c, h + 2 * p, w + 2 * p), dtype=x.dtype)  # border stays 0
-            for s in range(0, n, nb):
-                m = min(nb, n - s)
-                xp[:m, :, p : p + h, p : p + w] = x[s : s + m]
-                for i in range(k):
-                    for j in range(k):
-                        cols[:m, :, i, j] = xp[:m, :, i * d : i * d + ho, j * d : j * d + wo]
-                np.matmul(weight.reshape(self.c_out, kk), cols[:m].reshape(m, kk, ho * wo), out=y[s : s + m])
-        y = y.reshape(n, self.c_out, ho, wo)
+        y = np.empty((n, c_out, ho * wo), dtype=np.result_type(weight, x))
+        w2d = weight.reshape(c_out, -1)
+        for s, cols in self._columns(x, p):
+            np.matmul(w2d, cols, out=y[s : s + len(cols)])
+        y = y.reshape(n, c_out, ho, wo)
         if bias is not None:
             y += bias[None, :, None, None]
         return y
@@ -117,22 +129,14 @@ class Conv2d(Layer):
         x, y_shape = self._take_cache()
         if gy.shape != y_shape:
             raise DimensionError(f"gradient shape {gy.shape} != forward output {y_shape}")
-        n, _, ho, wo = gy.shape
-        p, d, k = self.padding, self.dilation, self.k
-        xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p))) if p else x
-        weight = self.kernel.value
-        gy_flat = gy.reshape(n, self.c_out, ho * wo)
-        gxp = np.zeros_like(xp)
-        for i in range(k):
-            for j in range(k):
-                xs = xp[:, :, i * d : i * d + ho, j * d : j * d + wo]
-                self.kernel.grad[:, :, i, j] += np.tensordot(gy, xs, axes=([0, 2, 3], [0, 2, 3]))
-                gxp[:, :, i * d : i * d + ho, j * d : j * d + wo] += np.matmul(
-                    weight[:, :, i, j].T.astype(gy.dtype), gy_flat
-                ).reshape(n, self.c_in, ho, wo)
+        gy_flat = gy.reshape(len(gy), self.c_out, -1)
+        gw = 0  # the columns are rebuilt, not cached: a cache would hold k*k copies of x
+        for s, cols in self._columns(x, self.padding):
+            gw = gw + np.matmul(gy_flat[s : s + len(cols)], cols.transpose(0, 2, 1)).sum(axis=0)
+        self.kernel.grad += gw.reshape(self.kernel.grad.shape)
         self.bias.grad += gy.sum(axis=(0, 2, 3))
-        h, w = x.shape[2], x.shape[3]
-        return gxp[:, :, p : p + h, p : p + w] if p else gxp
+        flipped = self.kernel.value.astype(gy.dtype, copy=False)[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
+        return self._correlate(gy, flipped, p=self.dilation * (self.k - 1) - self.padding)
 
     def macs(self, h_out, w_out):
         return self.k * self.k * self.c_in * self.c_out * h_out * w_out
@@ -227,19 +231,12 @@ class AvgPool2x2(Layer):
     def __init__(self):
         self._cache = None
 
-    @staticmethod
-    def _pad_odd(x):
-        n, c, h, w = x.shape
-        ph, pw = h % 2, w % 2
-        if ph or pw:
-            x = np.pad(x, ((0, 0), (0, 0), (0, ph), (0, pw)), mode="edge")
-        return x, (h, w)
-
     def forward(self, x, cache=False):
-        xp, in_hw = self._pad_odd(x)
-        n, c, h, w = xp.shape
-        y = xp.reshape(n, c, h // 2, 2, w // 2, 2).mean(axis=(3, 5))
-        self._cache = in_hw if cache else None
+        n, c, h, w = x.shape
+        if h % 2 or w % 2:
+            x = np.pad(x, ((0, 0), (0, 0), (0, h % 2), (0, w % 2)), mode="edge")
+        y = x.reshape(n, c, (h + 1) // 2, 2, (w + 1) // 2, 2).mean(axis=(3, 5))
+        self._cache = (h, w) if cache else None
         return y
 
     def backward(self, gy):

@@ -6,6 +6,7 @@ micro model on a tiny synthetic grid and reuses it everywhere.
 """
 
 import json
+import math
 import os
 from types import SimpleNamespace
 
@@ -13,7 +14,7 @@ import numpy as np
 import pytest
 from pngcheck import read_png
 
-from rangeseg.cli import main
+from rangeseg.cli import _proj_from_args, build_parser, main
 from rangeseg.imageio import label_palette, normalize_to_u8
 from rangeseg.pointcloud import (
     default_scene_spec,
@@ -21,6 +22,7 @@ from rangeseg.pointcloud import (
     write_kitti_labels,
     write_kitti_scan,
 )
+from rangeseg.projection import ProjectionConfig
 
 W, H = 64, 32
 
@@ -75,6 +77,24 @@ def test_missing_subcommand_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 2
+
+
+def test_default_projection_is_projection_config():
+    # no flags and no checkpoint extras: exactly the library's defaults,
+    # not a degrees round trip of them
+    args = build_parser().parse_args(["project", "--scan", "scan.bin", "--out-dir", "out"])
+    assert _proj_from_args(args) == ProjectionConfig()
+
+
+def test_projection_flags_in_degrees_extras_in_radians():
+    extras = {"proj.w": 512, "proj.h": 32, "proj.fov_up": repr(0.1), "proj.fov_down": repr(-0.2)}
+    args = build_parser().parse_args(["project", "--scan", "scan.bin", "--out-dir", "out"])
+    assert _proj_from_args(args, extras) == ProjectionConfig(w=512, h=32, fov_up=0.1, fov_down=-0.2)
+    args = build_parser().parse_args(
+        ["project", "--scan", "scan.bin", "--out-dir", "out", "--fov-up", "2", "--fov-down", "-10"])
+    proj = _proj_from_args(args, extras)
+    assert (proj.w, proj.h) == (512, 32)
+    assert proj.fov_up == math.radians(2.0) and proj.fov_down == math.radians(-10.0)
 
 
 # ---------------------------------------------------------------- train
@@ -235,7 +255,9 @@ def test_eval_truncated_label_file_exits_one(ws, tmp_path, capsys):
         (bad_pred / name).write_bytes(b"\x00" * 5)
     rc = main(["eval", "--pred", str(bad_pred), "--gt", str(ws.gt_dir), "--classes", "4"])
     assert rc == 1
-    assert "ScanFormatError" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "ScanFormatError" in err
+    assert str(bad_pred / "scan000.label") in err
 
 
 # ---------------------------------------------------------------- uncertainty
@@ -316,6 +338,15 @@ def test_project_reports_collision_arithmetic(ws, tmp_path, capsys):
 def test_project_missing_scan_exits_two(tmp_path):
     rc = main(["project", "--scan", str(tmp_path / "no.bin"), "--out-dir", str(tmp_path)])
     assert rc == 2
+
+
+def test_project_truncated_scan_names_the_file(tmp_path, capsys):
+    bad = tmp_path / "bad.bin"
+    bad.write_bytes(b"\x00" * 5)
+    rc = main(["project", "--scan", str(bad), "--out-dir", str(tmp_path / "out")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "ScanFormatError" in err and str(bad) in err
 
 
 # ---------------------------------------------------------------- png output

@@ -25,15 +25,15 @@ def away_from_zero(rng, shape, margin=0.05):
     return np.where(np.abs(x) < margin, margin * np.sign(x) + (x == 0) * margin, x)
 
 
-def conv_instance(rng, dilation=1, k=3):
+def conv_instance(rng, dilation=1, k=3, padding=None):
     c_in, c_out = int(rng.integers(1, 4)), int(rng.integers(1, 5))
-    conv = Conv2d(c_in, c_out, k=k, dilation=dilation, rng=rng).cast(np.float64)
+    conv = Conv2d(c_in, c_out, k=k, dilation=dilation, padding=padding, rng=rng).cast(np.float64)
     x = rng.normal(size=(2, c_in, int(rng.integers(5, 9)), int(rng.integers(5, 9))))
     return dict(
         x=x, params=conv.params(),
         forward=lambda: conv.forward(x),
         forward_cache=lambda: conv.forward(x, cache=True),
-        backward=conv.backward, name=f"conv_k{k}_d{dilation}")
+        backward=conv.backward, name=f"conv_k{k}_d{dilation}_p{conv.padding}")
 
 
 def bn_instance(rng, train):
@@ -108,6 +108,8 @@ LAYER_FACTORIES = [
     ("conv_d1", lambda rng: conv_instance(rng, dilation=1)),
     ("conv_d2", lambda rng: conv_instance(rng, dilation=2)),
     ("conv_1x1", lambda rng: conv_instance(rng, k=1)),
+    ("conv_1x1_pad1", lambda rng: conv_instance(rng, k=1, padding=1)),
+    ("conv_pad0", lambda rng: conv_instance(rng, padding=0)),
     ("bn_train", lambda rng: bn_instance(rng, train=True)),
     ("bn_eval", lambda rng: bn_instance(rng, train=False)),
     ("leaky_relu", leaky_instance),

@@ -64,32 +64,49 @@ class TestConv2d:
         with pytest.raises(StaleStateError):
             conv.backward(np.zeros((1, 1, 4, 4), dtype=np.float32))
 
-    def test_adjoint_identity(self):
-        # conv minus bias is linear, so <Ax, g> == <x, A^T g> exactly
+    CASES = [(3, 1, None), (3, 2, None), (1, 1, None), (1, 1, 1), (3, 1, 0)]
+
+    @pytest.mark.parametrize("k, dilation, padding", CASES)
+    def test_adjoint_identity(self, k, dilation, padding):
+        # conv minus bias is linear, so <Ax, g> == <x, A^T g> exactly; padding
+        # 1 on a 1x1 kernel makes the input gradient crop, padding 0 on a 3x3
+        # makes it pad wider than the forward pass
         rng = np.random.default_rng(3)
-        conv = Conv2d(2, 3, k=3, rng=rng).cast(np.float64)
-        x = rng.normal(size=(1, 2, 6, 7))
-        g = rng.normal(size=(1, 3, 6, 7))
+        conv = Conv2d(2, 3, k=k, dilation=dilation, padding=padding, rng=rng).cast(np.float64)
+        x = rng.normal(size=(2, 2, 6, 7))
         y = conv.forward(x, cache=True)
+        g = rng.normal(size=y.shape)
         y0 = conv.bias.value[None, :, None, None] * np.ones_like(y)
         gx = conv.backward(g)
         assert np.dot((y - y0).ravel(), g.ravel()) == pytest.approx(
             np.dot(x.ravel(), gx.ravel()), rel=1e-12)
 
-    @pytest.mark.parametrize("k, dilation, padding", [(3, 1, None), (3, 2, None), (1, 1, None), (1, 1, 1), (3, 1, 0)])
+    @pytest.mark.parametrize("k, dilation, padding", CASES)
     def test_batch_chunking_is_bit_exact(self, monkeypatch, k, dilation, padding):
-        # im2col runs a few images at a time; each image must come out
-        # exactly as if it had been convolved alone
+        # im2col runs a few images at a time; each image, and each image's
+        # input gradient, must come out exactly as if it had been run alone;
+        # the kernel gradient is summed chunk by chunk, so it only agrees closely
         rng = np.random.default_rng(4)
         conv = Conv2d(3, 4, k=k, dilation=dilation, padding=padding, rng=rng)
         conv.bias.value[:] = rng.normal(size=4)
         x = rng.normal(size=(7, 3, 6, 9)).astype(np.float32)
-        whole = conv.forward(x)
+        gy = rng.normal(size=conv.forward(x).shape).astype(np.float32)
+
+        def run(sl):
+            y = conv.forward(x[sl], cache=True)
+            conv.zero_grads()
+            return y, conv.backward(gy[sl]), conv.kernel.grad.copy()
+
+        whole = run(slice(None))
         monkeypatch.setattr(Conv2d, "COLS_CHUNK_BYTES", 1)
-        singles = np.concatenate([conv.forward(x[i : i + 1]) for i in range(len(x))])
+        singles = [run(slice(i, i + 1)) for i in range(len(x))]
         monkeypatch.setattr(Conv2d, "COLS_CHUNK_BYTES", 3 * 27 * 54 * 4)  # 3x3: chunks of 3, 3, 1
-        np.testing.assert_array_equal(conv.forward(x), whole)
-        np.testing.assert_array_equal(singles, whole)
+        chunked = run(slice(None))
+        for i in range(2):  # output, input gradient
+            np.testing.assert_array_equal(chunked[i], whole[i])
+            np.testing.assert_array_equal(np.concatenate([s[i] for s in singles]), whole[i])
+        np.testing.assert_allclose(chunked[2], whole[2], rtol=1e-5, atol=1e-5)
+        np.testing.assert_allclose(sum(s[2] for s in singles), whole[2], rtol=1e-5, atol=1e-5)
 
     def test_macs_count(self):
         assert Conv2d(1, 1, k=1).macs(4, 4) == 16
