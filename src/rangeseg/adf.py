@@ -39,7 +39,10 @@ class GaussianTensor:
 
 
 def _floored(mean, var):
-    return GaussianTensor(mean, np.maximum(var, VARIANCE_FLOOR))
+    """A rule's output: floored once and not re-validated, as the rules keep shapes equal."""
+    g = object.__new__(GaussianTensor)
+    g.mean, g.variance = mean, np.maximum(var, VARIANCE_FLOOR).astype(mean.dtype, copy=False)
+    return g
 
 
 def conv2d_adf(layer: Conv2d, g: GaussianTensor) -> GaussianTensor:
@@ -73,12 +76,29 @@ def leaky_relu_adf(layer: LeakyReLU, g: GaussianTensor) -> GaussianTensor:
     sigma = np.sqrt(v)
     t = mu / sigma
     cdf = ndtr(t)
-    pdf = np.exp(-0.5 * t * t) / math.sqrt(2.0 * math.pi)
-    mean = a * mu + (1.0 - a) * (mu * cdf + sigma * pdf)
-    second_pos = (mu * mu + v) * cdf + mu * sigma * pdf
-    second_neg = (mu * mu + v) * (1.0 - cdf) - mu * sigma * pdf
-    var = second_pos + a * a * second_neg - mean * mean
-    return _floored(mean.astype(mu.dtype), var.astype(mu.dtype))
+    pdf = np.multiply(-0.5, t)
+    pdf *= t
+    np.exp(pdf, out=pdf)
+    pdf /= math.sqrt(2.0 * math.pi)
+    second = mu * mu  # E[x^2] = mu^2 + v
+    second += v
+    cross = mu * sigma  # mu*sigma*phi(t)
+    cross *= pdf
+    mean = mu * cdf
+    sigma *= pdf
+    mean += sigma
+    mean *= 1.0 - a
+    np.multiply(a, mu, out=t)
+    mean += t
+    var = second * cdf
+    var += cross
+    np.subtract(1.0, cdf, out=cdf)
+    cdf *= second
+    cdf -= cross
+    cdf *= a * a
+    var += cdf
+    var -= np.multiply(mean, mean, out=second)
+    return _floored(mean, var)
 
 
 def avg_pool_adf(layer: AvgPool2x2, g: GaussianTensor) -> GaussianTensor:

@@ -285,7 +285,9 @@ def space_to_depth(x, r):
 class ChannelDropout(Layer):
     """Spatial dropout: whole channels are zeroed, survivors scaled by 1/(1-p).
 
-    Identity when inactive, so eval-mode inference needs no rescaling.
+    Identity when inactive, so eval-mode inference needs no rescaling. rng may
+    be a sequence of k generators, each drawing one mask row: a batch-1 input
+    then comes out as k rows, one per generator (MC trials of one image).
     """
 
     def __init__(self, p=0.2):
@@ -302,7 +304,11 @@ class ChannelDropout(Layer):
         if mask is None:
             if rng is None:
                 raise ValueError("active dropout needs an rng or an explicit mask")
-            mask = rng.random((x.shape[0], x.shape[1])) >= p
+            if isinstance(rng, (list, tuple)):
+                draws = np.concatenate([g.random((1, x.shape[1])) for g in rng])
+            else:
+                draws = rng.random((x.shape[0], x.shape[1]))
+            mask = draws >= p
         scale = (mask.astype(x.dtype) / np.asarray(1.0 - p, dtype=x.dtype))[:, :, None, None]
         self._cache = scale if cache else None
         self.last_mask = mask

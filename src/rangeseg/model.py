@@ -121,7 +121,9 @@ def _cat(parts):
             np.concatenate([p.mean for p in parts], axis=1),
             np.concatenate([p.variance for p in parts], axis=1),
         )
-    return np.concatenate(parts, axis=1)
+    # in a multi-trial MC forward, skips taken before the batch widened have batch 1
+    n = max(len(p) for p in parts)
+    return np.concatenate([np.broadcast_to(p, (n,) + p.shape[1:]) for p in parts], axis=1)
 
 
 def _add(a, b):
@@ -365,15 +367,30 @@ class Model(_Block):
         mode: 'train' (batch-stat BN, dropout on), 'eval' (running-stat BN,
         dropout off), 'mc' (running-stat BN, dropout on). 3D input gets a
         singleton batch axis and a 3D output.
+
+        In 'mc' mode rng may be a sequence of k generators for one image: the
+        result is (k, num_classes, h, w), row i equal to a forward with
+        rng=rng[i] alone. Everything before the first active dropout runs
+        once at batch 1; that dropout draws one mask row per generator and
+        widens the batch to k, and skips taken before it are broadcast
+        against the k rows. With no active dropout the one output is repeated.
         """
         if mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}")
-        squeeze = x.ndim == 3
+        trials = isinstance(rng, (list, tuple))
+        squeeze = x.ndim == 3 and not trials
         x = self._check_input(np.asarray(x))
-        if rng is None and seed is not None:
+        if trials:
+            if mode != "mc" or not rng:
+                raise ConfigError("a sequence of generators needs mode='mc' and at least one generator")
+            if len(x) != 1:
+                raise DimensionError(f"a sequence of generators takes one image, got a batch of {len(x)}")
+        elif rng is None and seed is not None:
             rng = np.random.default_rng(seed)
         rs = _RunState(mode == "train", mode in ("train", "mc"), rng, rate, cache)
         probs = self._run(x, rs)
+        if trials and len(probs) < len(rng):
+            probs = np.repeat(probs, len(rng), axis=0)
         return probs[0] if squeeze else probs
 
     def _run(self, h, rs):

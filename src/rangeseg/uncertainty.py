@@ -2,10 +2,12 @@
 
 Epistemic: n stochastic forward passes with dropout kept active (batch norm
 stays in eval statistics), per-pixel value = sum over classes of the
-population variance of the per-trial probabilities. Aleatoric: the input is
-wrapped as a Gaussian with per-channel sensor noise and pushed through the
-ADF rules; per-pixel value = sum over classes of the output variance. The
-grid search picks the dropout rate minimizing a Gaussian negative
+population variance of the per-trial probabilities. The trials go to
+Model.forward a group at a time, so the layers before the first dropout run
+once per group, with results bit-equal to one forward per trial. Aleatoric:
+the input is wrapped as a Gaussian with per-channel sensor noise and pushed
+through the ADF rules; per-pixel value = sum over classes of the output
+variance. The grid search picks the dropout rate minimizing a Gaussian negative
 log-likelihood of the one-hot labels under the total uncertainty.
 """
 
@@ -20,6 +22,10 @@ from .errors import ConfigError, DimensionError, InvalidDistributionError, Inval
 from .model import Model
 
 SIGMA_FLOOR = 1e-6
+# Trials per Model.forward in mc_dropout_infer, counting one float64
+# base-width feature map per trial: the widened suffix holds a few such maps
+# per trial, so this bounds the extra peak memory (10 micro trials at 64x512).
+_MC_GROUP_BYTES = 20 << 20
 CHANNEL_ORDER = ("x", "y", "z", "intensity", "range")
 
 
@@ -67,16 +73,22 @@ def _zeros_like_map(probs):
 
 
 def mc_dropout_infer(model: Model, x: np.ndarray, n: int, seed=0, rate=None) -> UncertaintyMap:
-    """n dropout-active forward passes; epistemic variance of the softmax."""
+    """n dropout-active forward passes; epistemic variance of the softmax.
+
+    Trial i draws its masks from default_rng(SeedSequence(seed).spawn(n)[i]);
+    each Model.forward call gets a group of these generators and widens the
+    batch to the group at the first dropout.
+    """
     if n < 1:
         raise InvalidTrialsError("need at least one trial")
     x = np.asarray(x)
     if x.ndim != 3:
         raise DimensionError(f"expected one (channels, h, w) image, got {x.shape}")
-    seeds = np.random.SeedSequence(seed).spawn(n)
+    rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(n)]
+    group = max(1, _MC_GROUP_BYTES // (8 * model.cfg.base_channels * x.shape[1] * x.shape[2]))
     trials = np.empty((n,) + (model.cfg.num_classes,) + x.shape[1:], dtype=np.float64)
-    for i in range(n):
-        trials[i] = model.forward(x, mode="mc", rng=np.random.default_rng(seeds[i]), rate=rate)
+    for i in range(0, n, group):
+        trials[i : i + group] = model.forward(x, mode="mc", rng=rngs[i : i + group], rate=rate)
     mean = trials.mean(axis=0)
     epistemic = trials.var(axis=0).sum(axis=0)  # population variance, class-summed
     return UncertaintyMap(

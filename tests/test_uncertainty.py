@@ -5,6 +5,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import rangeseg.uncertainty as uncertainty
 from rangeseg.adf import GaussianTensor
 from rangeseg.errors import (
     ConfigError,
@@ -12,7 +13,8 @@ from rangeseg.errors import (
     InvalidDistributionError,
     InvalidTrialsError,
 )
-from rangeseg.model import build_model, micro_config
+from rangeseg.layers import Conv2d
+from rangeseg.model import ModelConfig, build_model, micro_config
 from rangeseg.uncertainty import (
     SensorNoiseModel,
     UncertaintyMap,
@@ -35,14 +37,19 @@ def image():
 
 
 class FlipFlopModel:
-    """Deterministic 2-class stand-in alternating between two probability maps."""
+    """Deterministic 2-class stand-in alternating between two probability maps.
+
+    A sequence rng asks for one trial per generator, as Model.forward does.
+    """
 
     def __init__(self, maps):
         self.maps = maps
         self.calls = 0
-        self.cfg = SimpleNamespace(num_classes=maps[0].shape[0])
+        self.cfg = SimpleNamespace(num_classes=maps[0].shape[0], base_channels=1)
 
     def forward(self, x, mode="eval", rng=None, seed=None, rate=None, cache=False):
+        if isinstance(rng, (list, tuple)):
+            return np.stack([self.forward(x) for _ in rng])
         out = self.maps[self.calls % len(self.maps)]
         self.calls += 1
         return out
@@ -121,6 +128,83 @@ class TestMcDropout:
         assert out.epistemic.shape == (16, 32)
         assert (out.aleatoric == 0).all()
         assert (out.epistemic >= 0).all()
+
+
+# (config, spatial size): dropout in enc1 only (micro); in three encoder and
+# two decoder stages, with an unpooled bottleneck stage; no dropout layer at all
+TRIAL_CONFIGS = {
+    "micro": (micro_config(num_classes=4), (16, 32)),
+    "deep": (ModelConfig(num_classes=3, base_channels=4, encoder_channels=(4, 8, 8, 16, 16),
+                         num_pool_stages=3), (16, 32)),
+    "no-dropout": (ModelConfig(num_classes=3, base_channels=4, encoder_channels=(4, 8),
+                               num_pool_stages=1), (8, 16)),
+}
+
+
+def per_trial_forwards(model, x, n, seed, rate):
+    """The trials one at a time, each with its own SeedSequence child."""
+    children = np.random.SeedSequence(seed).spawn(n)
+    return np.stack([model.forward(x, mode="mc", rng=np.random.default_rng(c), rate=rate)
+                     for c in children]).astype(np.float64)
+
+
+class TestBatchedTrials:
+    @pytest.fixture(scope="class", params=sorted(TRIAL_CONFIGS))
+    def case(self, request):
+        cfg, shape = TRIAL_CONFIGS[request.param]
+        x = np.random.default_rng(4).normal(size=(5,) + shape).astype(np.float32)
+        return build_model(cfg, seed=2), x
+
+    @pytest.mark.parametrize("rate", [None, 0.0, 0.3])
+    @pytest.mark.parametrize("n, group", [(1, None), (7, None), (7, 3)])
+    def test_matches_per_trial_loop(self, case, rate, n, group, monkeypatch):
+        model, x = case
+        if group is not None:  # a budget of `group` trials per forward: groups of 3, 3, 1
+            unit = 8 * model.cfg.base_channels * x.shape[1] * x.shape[2]
+            monkeypatch.setattr(uncertainty, "_MC_GROUP_BYTES", group * unit)
+        calls = []
+        forward = model.forward
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs["rng"])
+            return forward(*args, **kwargs)
+
+        monkeypatch.setattr(model, "forward", counted)
+        out = mc_dropout_infer(model, x, n, seed=5, rate=rate)
+        assert [len(rngs) for rngs in calls] == ([n] if group is None else [3, 3, 1])
+        monkeypatch.undo()
+        trials = per_trial_forwards(model, x, n, seed=5, rate=rate)
+        np.testing.assert_array_equal(out.mean_prediction, trials.mean(axis=0))
+        np.testing.assert_array_equal(out.epistemic, trials.var(axis=0).sum(axis=0))
+
+    def test_prefix_runs_once_at_batch_one(self, monkeypatch):
+        cfg, shape = TRIAL_CONFIGS["deep"]
+        model = build_model(cfg, seed=2)
+        x = np.random.default_rng(4).normal(size=(5,) + shape).astype(np.float32)
+        batches = {}
+        for name, layer in model.named_layers():
+            if isinstance(layer, Conv2d):
+                def spy(x, cache=False, name=name, forward=layer.forward):
+                    batches.setdefault(name, []).append(len(x))
+                    return forward(x, cache=cache)
+                monkeypatch.setattr(layer, "forward", spy)
+        rngs = [np.random.default_rng(c) for c in np.random.SeedSequence(5).spawn(4)]
+        probs = model.forward(x, mode="mc", rng=rngs)
+        monkeypatch.undo()
+        assert len(batches) == sum(isinstance(layer, Conv2d) for _, layer in model.named_layers())
+        prefix = ("context", "enc0.", "enc1.block.")
+        for name, seen in batches.items():
+            assert seen == [1 if name.startswith(prefix) else 4], name
+        np.testing.assert_array_equal(probs, per_trial_forwards(model, x, 4, seed=5, rate=None))
+
+    @pytest.mark.parametrize("mode", ["train", "eval"])
+    def test_sequence_rng_needs_mc_mode(self, model, image, mode):
+        with pytest.raises(ConfigError):
+            model.forward(image, mode=mode, rng=[np.random.default_rng(0)])
+
+    def test_sequence_rng_needs_one_image(self, model, image):
+        with pytest.raises(DimensionError):
+            model.forward(np.stack([image, image]), mode="mc", rng=[np.random.default_rng(0)])
 
 
 class TestAdfInfer:
