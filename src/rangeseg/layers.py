@@ -9,7 +9,7 @@ There is no autodiff graph — the model wires these calls explicitly.
 from __future__ import annotations
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DimensionError, StaleStateError
 
@@ -77,48 +77,27 @@ class Conv2d(Layer):
 
     # im2col columns are built for a few images at a time, sized so that they
     # stay in cache between the fill and the matmul; the per-image products
-    # are the same BLAS calls either way, so chunking does not change a bit.
-    # Outputs narrower than NARROW_WIDTH fill their columns from k shifted
-    # copies of the input (see _columns); the columns are the same either way.
+    # are the same BLAS calls either way, so chunking does not change a bit
     COLS_CHUNK_BYTES = 1 << 20
-    NARROW_WIDTH = 256
 
     def _columns(self, x, p):
-        """Yield (first image, (m, c*k*k, ho*wo) columns) of x padded by p, cropped if p < 0.
-
-        Tap (i, j) reads x[y + i*d - p, x + j*d - p], zero outside x. The taps
-        are one strided copy out of a zero-bordered buffer. For wide outputs
-        that buffer is the padded input and each tap row is a run of wo. For
-        narrow ones, where such short runs would cost more than the copying,
-        the buffer holds k copies of the padded input cut to width wo, the
-        j-th shifted by j*d along w, so that each tap is one run of ho*wo.
-        """
+        """Yield (first image, (m, c*k*k, ho*wo) columns) of x padded by p, cropped if p < 0."""
         n, c, h, w = x.shape
         d, k = self.dilation, self.k
         if k == 1 and not p:
             yield 0, x.reshape(n, c, h * w)
             return
+        if p < 0:
+            x, h, w, p = x[:, :, -p : h + p, -p : w + p], h + 2 * p, w + 2 * p, 0
         ho, wo = h + 2 * p - d * (k - 1), w + 2 * p - d * (k - 1)
         nb = min(n, max(1, self.COLS_CHUNK_BYTES // (c * k * k * ho * wo * x.itemsize)))
-        narrow = wo < self.NARROW_WIDTH
-        hb, wb = h + 2 * p, wo if narrow else w + 2 * p
-        buf = np.zeros((k if narrow else 1, nb, c, hb, wb), dtype=x.dtype)  # only in-range parts are written
-        fills = []  # (destination in buf, source rows, source columns)
-        ya, yb = max(0, p), min(hb, h + p)
-        for j in range(len(buf)):
-            dx = j * d - p
-            lo, hi = max(0, -dx), min(wb, w - dx)
-            if ya < yb and lo < hi:
-                fills.append((buf[j, :, :, ya:yb, lo:hi], slice(ya - p, yb - p), slice(lo + dx, hi + dx)))
-        sj, sm, sc, sy, sx = buf.strides
-        taps = as_strided(buf, (nb, c, k, k, ho, wo), (sm, sc, d * sy, sj if narrow else d * sx, sy, sx),
-                          writeable=False)
         cols = np.empty((nb, c, k, k, ho, wo), dtype=x.dtype)
+        xp = np.zeros((nb, c, h + 2 * p, w + 2 * p), dtype=x.dtype)  # border stays 0
         for s in range(0, n, nb):
             m = min(nb, n - s)
-            for dst, rows, columns in fills:
-                dst[:m] = x[s : s + m, :, rows, columns]
-            cols[:m] = taps[:m]
+            xp[:m, :, p : p + h, p : p + w] = x[s : s + m]
+            taps = sliding_window_view(xp[:m], (d * (k - 1) + 1,) * 2, axis=(2, 3))[..., ::d, ::d]
+            cols[:m] = taps.transpose(0, 1, 4, 5, 2, 3)
             yield s, cols[:m].reshape(m, c * k * k, ho * wo)
 
     def _correlate(self, x, weight, bias=None, p=None):
@@ -134,10 +113,11 @@ class Conv2d(Layer):
         y = np.empty((n, c_out, ho * wo), dtype=np.result_type(weight, x))
         w2d = weight.reshape(c_out, -1)
         for s, cols in self._columns(x, p):
-            out = np.matmul(w2d, cols, out=y[s : s + len(cols)])
-            if bias is not None:
-                out += bias[:, None]  # while the chunk is still in cache
-        return y.reshape(n, c_out, ho, wo)
+            np.matmul(w2d, cols, out=y[s : s + len(cols)])
+        y = y.reshape(n, c_out, ho, wo)
+        if bias is not None:
+            y += bias[None, :, None, None]
+        return y
 
     def forward(self, x, cache=False):
         dt = x.dtype
@@ -235,8 +215,7 @@ class LeakyReLU(Layer):
         if not cache and self.slope > 0:
             # for 0 < slope <= 1 the larger of x and slope*x is the select below
             self._cache = None
-            y = np.multiply(x, self.slope)
-            return np.maximum(x, y, out=y)
+            return np.maximum(x, self.slope * x)
         pos = x >= 0
         self._cache = pos if cache else None
         return np.where(pos, x, self.slope * x)
@@ -256,12 +235,7 @@ class AvgPool2x2(Layer):
         n, c, h, w = x.shape
         if h % 2 or w % 2:
             x = np.pad(x, ((0, 0), (0, 0), (0, h % 2), (0, w % 2)), mode="edge")
-        # each window is (a + b) + (c + d): column pairs first, in one pass, then row pairs
-        hp, wp = x.shape[2:]
-        pairs = x.reshape(n, c, hp, wp // 2, 2)
-        pairs = (pairs[..., 0] + pairs[..., 1]).reshape(n, c, hp // 2, 2, wp // 2)
-        y = pairs[:, :, :, 0] + pairs[:, :, :, 1]
-        y /= 4
+        y = x.reshape(n, c, (h + 1) // 2, 2, (w + 1) // 2, 2).mean(axis=(3, 5))
         self._cache = (h, w) if cache else None
         return y
 

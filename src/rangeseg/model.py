@@ -94,12 +94,13 @@ class ModelConfig:
 class _RunState:
     """Per-forward knobs threaded through the blocks."""
 
-    __slots__ = ("bn_train", "drop_active", "rng", "rate", "cache")
+    __slots__ = ("bn_train", "drop_active", "rng", "trials", "rate", "cache")
 
     def __init__(self, bn_train, drop_active, rng, rate, cache):
         self.bn_train = bn_train
         self.drop_active = drop_active
         self.rng = rng
+        self.trials = isinstance(rng, (list, tuple))  # one generator per MC trial of one image
         self.rate = rate
         self.cache = cache
 
@@ -114,16 +115,20 @@ class _RunState:
         return layer.forward(x, cache=self.cache)
 
 
-def _cat(parts):
-    """Channel concatenation of arrays, or of Gaussians' means and variances."""
+def _cat(parts, widen=False):
+    """Channel concatenation of arrays, or of Gaussians' means and variances.
+
+    widen: broadcast batch-1 parts to the first part's batch, for skips taken
+    before an MC forward over several trials widened its batch.
+    """
     if isinstance(parts[0], GaussianTensor):
         return GaussianTensor(
             np.concatenate([p.mean for p in parts], axis=1),
             np.concatenate([p.variance for p in parts], axis=1),
         )
-    # in a multi-trial MC forward, skips taken before the batch widened have batch 1
-    n = max(len(p) for p in parts)
-    return np.concatenate([np.broadcast_to(p, (n,) + p.shape[1:]) for p in parts], axis=1)
+    if widen:
+        parts = [np.broadcast_to(p, parts[0].shape[:1] + p.shape[1:]) for p in parts]
+    return np.concatenate(parts, axis=1)
 
 
 def _add(a, b):
@@ -271,7 +276,7 @@ class DecoderStage(_Block):
         return [("up", self.up), ("block", self.block), ("drop", self.drop)]
 
     def run(self, x, skip, rs):
-        y = self.block.run(_cat([rs.apply(self.up, x), skip]), rs)
+        y = self.block.run(_cat([rs.apply(self.up, x), skip], widen=rs.trials), rs)
         return y if self.drop is None else rs.apply(self.drop, y)
 
     def backward(self, g):

@@ -108,33 +108,6 @@ class TestConv2d:
         np.testing.assert_allclose(chunked[2], whole[2], rtol=1e-5, atol=1e-5)
         np.testing.assert_allclose(sum(s[2] for s in singles), whole[2], rtol=1e-5, atol=1e-5)
 
-    @pytest.mark.parametrize("k, dilation, padding", CASES + [(3, 1, -1), (5, 2, 3), (3, 3, None)])
-    def test_matches_direct_correlation(self, monkeypatch, k, dilation, padding):
-        # both column layouts (padded input, k shifted copies) against a sum
-        # over taps of an explicitly padded input; the two layouts hold the
-        # same columns, so outputs and input gradients agree bit for bit
-        rng = np.random.default_rng(6)
-        conv = Conv2d(3, 4, k=k, dilation=dilation, padding=padding, rng=rng).cast(np.float64)
-        conv.bias.value[:] = rng.normal(size=4)
-        x = rng.normal(size=(2, 3, 7, 11))
-        p = conv.padding
-        xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p))) if p >= 0 else x[:, :, -p:p, -p:p]
-        ho, wo = xp.shape[2] - dilation * (k - 1), xp.shape[3] - dilation * (k - 1)
-        want = np.broadcast_to(conv.bias.value[None, :, None, None], (2, 4, ho, wo)).copy()
-        for i in range(k):
-            for j in range(k):
-                tap = xp[:, :, i * dilation : i * dilation + ho, j * dilation : j * dilation + wo]
-                want += np.einsum("oc,nchw->nohw", conv.kernel.value[:, :, i, j], tap)
-        gy = rng.normal(size=want.shape)
-        runs = []
-        for narrow_width in (0, 10**6):
-            monkeypatch.setattr(Conv2d, "NARROW_WIDTH", narrow_width)
-            y = conv.forward(x, cache=True)
-            runs.append((y, conv.backward(gy)))
-            np.testing.assert_allclose(y, want, rtol=1e-12, atol=1e-12)
-        for a, b in zip(*runs):
-            np.testing.assert_array_equal(a, b)
-
     def test_macs_count(self):
         assert Conv2d(1, 1, k=1).macs(4, 4) == 16
         assert Conv2d(5, 32, k=3).macs(64, 2048) == 3 * 3 * 5 * 32 * 64 * 2048

@@ -206,6 +206,21 @@ class TestBatchedTrials:
         with pytest.raises(DimensionError):
             model.forward(np.stack([image, image]), mode="mc", rng=[np.random.default_rng(0)])
 
+    @pytest.mark.parametrize("mode", ["train", "eval", "mc"])
+    def test_mismatched_skip_batch_raises(self, model, image, mode, monkeypatch):
+        # only a forward with a sequence rng broadcasts a batch-1 skip; in any
+        # other forward a skip whose batch differs from the decoder's is a fault
+        stage = next(st for st in model.encoder if st.pool is not None)
+        run = stage.run
+
+        def one_row_skip(h, rs):
+            f, h = run(h, rs)
+            return f[:1], h
+
+        monkeypatch.setattr(stage, "run", one_row_skip)
+        with pytest.raises(ValueError):
+            model.forward(np.stack([image, image]), mode=mode, rng=np.random.default_rng(0))
+
 
 class TestAdfInfer:
     def test_needs_single_image(self, model, image):
