@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import fields
+from dataclasses import MISSING, fields
+from typing import get_type_hints
 
 from .errors import ConfigError
 from .model import ModelConfig
@@ -42,18 +43,16 @@ def _parse_int_tuple(s: str):
     return tuple(int(tok) for tok in s.split(","))
 
 
-_MODEL_FIELD_PARSERS = {
-    "num_classes": int,
-    "in_channels": int,
-    "base_channels": int,
-    "encoder_channels": _parse_int_tuple,
-    "decoder_channels": _parse_int_tuple,
-    "num_pool_stages": int,
-    "dropout_rate": float,
-    "leaky_slope": float,
-    "bn_eps": float,
-    "bn_momentum": float,
-}
+def _parse_bool(s: str) -> bool:
+    low = s.strip().lower()
+    if low in ("1", "true", "yes", "on"):
+        return True
+    if low in ("0", "false", "no", "off"):
+        return False
+    raise ValueError(f"not a boolean: {s!r}")
+
+
+_PARSERS = {int: int, float: float, bool: _parse_bool, tuple: _parse_int_tuple}
 
 
 def model_config_to_dict(cfg: ModelConfig) -> dict:
@@ -67,45 +66,25 @@ def model_config_to_dict(cfg: ModelConfig) -> dict:
 
 
 def model_config_from_dict(d: dict) -> ModelConfig:
-    kwargs = _parse_fields(d, _MODEL_FIELD_PARSERS, "model")
-    if "num_classes" not in kwargs:
-        raise ConfigError("model config needs num_classes")
-    return ModelConfig(**kwargs)
-
-
-def _parse_bool(s: str) -> bool:
-    low = s.strip().lower()
-    if low in ("1", "true", "yes", "on"):
-        return True
-    if low in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(f"not a boolean: {s!r}")
-
-
-_TRAIN_FIELD_PARSERS = {
-    "epochs": int,
-    "lr0": float,
-    "lr_decay": float,
-    "momentum": float,
-    "weight_decay": float,
-    "batch_size": int,
-    "seed": int,
-    "augment": _parse_bool,
-}
+    return _from_dict(ModelConfig, d, "model")
 
 
 def train_config_from_dict(d: dict) -> TrainConfig:
-    return TrainConfig(**_parse_fields(d, _TRAIN_FIELD_PARSERS, "train"))
+    return _from_dict(TrainConfig, d, "train")
 
 
-def _parse_fields(d: dict, parsers: dict, kind: str) -> dict:
+def _from_dict(cls, d: dict, kind: str):
+    """Build a config dataclass from strings, parsing each by its field's annotation."""
+    types = get_type_hints(cls)
     kwargs = {}
     for key, raw in d.items():
-        parser = parsers.get(key)
-        if parser is None:
+        if key not in types:
             raise ConfigError(f"unknown {kind} config key {key!r}")
         try:
-            kwargs[key] = parser(raw)
+            kwargs[key] = _PARSERS[types[key]](raw)
         except ValueError as exc:
             raise ConfigError(f"bad value for {key!r}: {raw!r} ({exc})")
-    return kwargs
+    for f in fields(cls):
+        if f.name not in kwargs and f.default is MISSING and f.default_factory is MISSING:
+            raise ConfigError(f"{kind} config needs {f.name}")
+    return cls(**kwargs)

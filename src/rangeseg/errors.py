@@ -42,7 +42,7 @@ class StaleStateError(RangesegError):
 
 
 class InvalidTargetError(RangesegError):
-    """Loss target index outside the class range."""
+    """Class index outside the class range: a loss target or a kNN pixel label."""
 
 
 class EmptyBatchError(RangesegError):

@@ -265,8 +265,6 @@ class EncoderStage(_Block):
 
 class DecoderStage(_Block):
     def __init__(self, c_in, skip_c, c_out, has_dropout, cfg: ModelConfig, rng):
-        if c_in % 4:
-            raise ConfigError(f"decoder input of {c_in} channels cannot pixel-shuffle")
         self.up_c = c_in // 4
         self.up = PixelShuffle(2)
         self.block = DilatedFusionBlock(self.up_c + skip_c, c_out, cfg, rng)
@@ -416,13 +414,12 @@ class Model(_Block):
         if g_probs.ndim == 3:
             g_probs = g_probs[None]
         g = self.head.backward(self.softmax.backward(g_probs))
-        skip_grads = [None] * len(self.encoder)
-        n_skips = sum(st.pool is not None for st in self.encoder)
-        for j in range(len(self.decoder) - 1, -1, -1):
-            g, g_skip = self.decoder[j].backward(g)
-            skip_grads[n_skips - 1 - j] = g_skip
-        for i in range(len(self.encoder) - 1, -1, -1):
-            g = self.encoder[i].backward(g, skip_grads[i])
+        skip_grads = []  # enc0's first, the order _run pushed the skips in
+        for st in reversed(self.decoder):
+            g, g_skip = st.backward(g)
+            skip_grads.append(g_skip)
+        for st in reversed(self.encoder):
+            g = st.backward(g, skip_grads.pop() if st.pool is not None else None)
         for blk in reversed(self.context):
             g = blk.backward(g)
         return g

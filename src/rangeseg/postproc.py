@@ -13,8 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import ConfigError, DimensionError
+from .errors import ConfigError, DimensionError, InvalidTargetError
 from .projection import RangeImage
 
 WEIGHTINGS = ("uniform", "inverse-range-gap")
@@ -53,6 +54,9 @@ def knn_filter(
     broken by window slot order, label-vote ties by the smaller class index.
     Points with no surviving neighbor, including those that fell outside the
     image, keep their input label.
+
+    Labels on valid pixels are class indices and must be >= 0
+    (InvalidTargetError otherwise); labels on empty pixels are ignored.
     """
     h, w = img.valid.shape
     pixel_labels = np.asarray(pixel_labels)
@@ -63,47 +67,40 @@ def knn_filter(
         raise DimensionError(f"pixel_labels must be ({h}, {w}), got {pixel_labels.shape}")
     if point_ranges.shape != (n,) or point_labels.shape != (n,):
         raise DimensionError(f"need {n} point ranges and labels")
+    if (pixel_labels[img.valid] < 0).any():
+        raise InvalidTargetError("pixel labels on valid pixels must be >= 0")
 
     out = point_labels.copy()
-    u = img.pixel_of_point[:, 0].astype(np.int64)
-    v = img.pixel_of_point[:, 1].astype(np.int64)
+    u, v = img.pixel_of_point.T
     mapped = u >= 0
     if not mapped.any():
         return out
     u, v, r = u[mapped], v[mapped], point_ranges[mapped]
 
-    half = cfg.window // 2
-    dv, du = np.mgrid[-half : half + 1, -half : half + 1]
-    dv, du = dv.ravel(), du.ravel()
+    def windows(image, empty):
+        """Each mapped point's S x S window, slots in row-major order; empty
+        pixels and the border pad read ``empty``."""
+        padded = np.pad(np.where(img.valid, image, empty), cfg.window // 2, constant_values=empty)
+        return sliding_window_view(padded, (cfg.window, cfg.window))[v, u].reshape(len(r), -1)
 
-    cv = v[:, None] + dv[None, :]  # (M, S^2)
-    cu = u[:, None] + du[None, :]
-    inside = (cv >= 0) & (cv < h) & (cu >= 0) & (cu < w)
-    cvc, cuc = cv.clip(0, h - 1), cu.clip(0, w - 1)
-    usable = inside & img.valid[cvc, cuc]
-
-    gaps = np.abs(img.range_channel()[cvc, cuc].astype(np.float64) - r[:, None])
-    gaps[~usable] = np.inf
-
+    gaps = np.abs(windows(img.range_channel(), np.inf).astype(np.float64) - r[:, None])
     # stable sort: equal gaps keep window scan order, matching the oracle
     nearest = np.argsort(gaps, axis=1, kind="stable")[:, : cfg.k]
-    rows = np.arange(len(r))[:, None]
-    kept_gaps = gaps[rows, nearest]
-    survives = kept_gaps <= cfg.cutoff  # also kills the inf (unusable) slots
+    kept_gaps = np.take_along_axis(gaps, nearest, axis=1)
+    survives = kept_gaps <= cfg.cutoff  # also kills the inf (empty or pad) slots
 
-    labels = pixel_labels[cvc, cuc][rows, nearest]
+    labels = np.take_along_axis(windows(pixel_labels, 0), nearest, axis=1)
     if cfg.weighting == "uniform":
         votes = survives.astype(np.float64)
     else:
         votes = np.where(survives, 1.0 / (GAP_EPS + kept_gaps), 0.0)
 
-    num_classes = int(pixel_labels.max()) + 1 if pixel_labels.size else 1
-    scores = np.zeros((len(r), num_classes))
-    np.add.at(scores, (rows.repeat(cfg.k, axis=1), labels), votes)
+    # bincount adds each bin's votes in slot order, as a per-point loop would
+    c = int(labels.max()) + 1
+    bins = np.arange(len(r))[:, None] * c + labels
+    scores = np.bincount(bins.ravel(), weights=votes.ravel(), minlength=len(r) * c).reshape(-1, c)
 
     any_vote = survives.any(axis=1)
     winners = scores.argmax(axis=1)  # argmax takes the smallest index on ties
-    mapped_out = out[mapped]
-    mapped_out[any_vote] = winners[any_vote].astype(out.dtype)
-    out[mapped] = mapped_out
+    out[np.flatnonzero(mapped)[any_vote]] = winners[any_vote]
     return out

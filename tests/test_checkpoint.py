@@ -14,8 +14,10 @@ from rangeseg.config import (
     model_config_from_dict,
     model_config_to_dict,
     parse_kv_text,
+    train_config_from_dict,
 )
 from rangeseg.model import ModelConfig, build_model, micro_config
+from rangeseg.train import TrainConfig
 
 
 @pytest.fixture()
@@ -185,3 +187,17 @@ class TestConfigBlock:
     def test_missing_num_classes_rejected(self):
         with pytest.raises(ConfigError):
             model_config_from_dict({"dropout_rate": "0.2"})
+
+    def test_train_config_parsed_by_field_type(self):
+        got = train_config_from_dict({"epochs": "3", "lr0": "0.5", "augment": "off"})
+        assert got == TrainConfig(epochs=3, lr0=0.5, augment=False)
+
+    @pytest.mark.parametrize("parse, d", [
+        (model_config_from_dict, {"num_classes": "four"}),
+        (model_config_from_dict, {"num_classes": "4", "encoder_channels": "8,x"}),
+        (train_config_from_dict, {"augment": "maybe"}),
+        (train_config_from_dict, {"flux": "9"}),
+    ])
+    def test_bad_value_or_key_rejected(self, parse, d):
+        with pytest.raises(ConfigError):
+            parse(d)

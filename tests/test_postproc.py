@@ -2,10 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from rangeseg.errors import ConfigError, DimensionError
+from rangeseg.errors import ConfigError, DimensionError, InvalidTargetError
 from rangeseg.pointcloud import default_scene_spec, generate_synthetic_scene
-from rangeseg.postproc import GAP_EPS, KnnConfig, knn_filter
+from rangeseg.postproc import GAP_EPS, WEIGHTINGS, KnnConfig, knn_filter
 from rangeseg.projection import ProjectionConfig, RangeImage, build_range_image
 
 
@@ -81,6 +83,33 @@ class TestKnnConfig:
         assert cfg.weighting == "inverse-range-gap"
 
 
+# half-metre steps make range gaps tie exactly; -1 marks an empty pixel
+RANGE_STEPS = [-1.0, 2.0, 2.5, 3.0, 3.5, 4.0, 6.0]
+
+
+@st.composite
+def knn_cases(draw):
+    """Small images (windows may exceed them), empty pixels labelled -1, and
+    points that are unmapped or sit on any pixel, empty or not."""
+    h, w = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    window = draw(st.sampled_from([1, 3, 5, 7, 9]))
+    cfg = KnnConfig(window=window, k=draw(st.integers(1, window**2)),
+                    cutoff=draw(st.sampled_from([0.25, 0.5, 1.0, 3.0])),
+                    weighting=draw(st.sampled_from(WEIGHTINGS)))
+    range_px = np.array(draw(st.lists(st.sampled_from(RANGE_STEPS), min_size=h * w,
+                                      max_size=h * w))).reshape(h, w)
+    labels = np.array(draw(st.lists(st.integers(0, 3), min_size=h * w, max_size=h * w)))
+    pixel_labels = np.where(range_px >= 0, labels.reshape(h, w), -1).astype(np.int32)
+    pixels = draw(st.lists(st.integers(-1, h * w - 1), max_size=12))
+    pix = np.array([(p % w, p // w) if p >= 0 else (-1, -1) for p in pixels]).reshape(-1, 2)
+    n = len(pixels)
+    ranges = np.array(draw(st.lists(st.sampled_from(RANGE_STEPS[1:] + [2.2, 5.1]),
+                                    min_size=n, max_size=n)))
+    point_labels = np.array(draw(st.lists(st.integers(0, 5), min_size=n, max_size=n)),
+                            dtype=np.int32)
+    return make_image(range_px, pix), pixel_labels, ranges, point_labels, cfg
+
+
 class TestAgainstBruteForce:
     @pytest.mark.parametrize("window", [3, 5])
     @pytest.mark.parametrize("k", [1, 3, 5])
@@ -109,6 +138,34 @@ class TestAgainstBruteForce:
         got = knn_filter(img, pixel_labels, ranges, point_labels, cfg)
         want = brute_force_knn(img, pixel_labels, ranges, point_labels, cfg)
         np.testing.assert_array_equal(got, want)
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(knn_cases())
+    def test_hypothesis_cases(self, case):
+        img, pixel_labels, ranges, point_labels, cfg = case
+        got = knn_filter(img, pixel_labels, ranges, point_labels, cfg)
+        want = brute_force_knn(img, pixel_labels, ranges, point_labels, cfg)
+        np.testing.assert_array_equal(got, want)
+
+
+class TestLabelContract:
+    def test_negative_label_on_valid_pixel_raises(self):
+        img = make_image(np.full((1, 3), 5.0), [(0, 0), (1, 0), (2, 0)])
+        with pytest.raises(InvalidTargetError):
+            knn_filter(img, np.array([[-1, -1, 0]], dtype=np.int32), np.full(3, 5.0),
+                       np.zeros(3, dtype=np.int32),
+                       KnnConfig(window=3, k=3, weighting="uniform"))
+
+    def test_labels_on_empty_pixels_ignored(self):
+        # the empty pixels carry a negative and a large label; neither votes
+        range_px = np.array([[5.0, -1.0, 5.0, -1.0]], dtype=np.float32)
+        img = make_image(range_px, [(0, 0), (2, 0)])
+        pixel_labels = np.array([[2, -1, 1, 99]], dtype=np.int64)
+        cfg = KnnConfig(window=3, k=3, weighting="uniform")
+        args = (img, pixel_labels, np.full(2, 5.0), np.array([7, 7], dtype=np.int32), cfg)
+        got = knn_filter(*args)
+        np.testing.assert_array_equal(got, [2, 1])
+        np.testing.assert_array_equal(got, brute_force_knn(*args))
 
 
 class TestSemantics:
