@@ -15,7 +15,6 @@ import subprocess
 import sys
 import time
 import zlib
-from concurrent.futures import ThreadPoolExecutor
 from types import SimpleNamespace
 
 import numpy as np
@@ -272,32 +271,19 @@ def _affine_probe(apply, dim_in, shape_in, shape_out):
 def _mc_moments(apply, mean, var, n, rng, bs=4000):
     """Brute-force one moment-matching step: sample the factorized Gaussian
     input, push the samples through the layer's real forward, and take
-    empirical moments. float32 sampling, float64 accumulation.
-
-    Drawing the normals is about half the work. One worker thread draws the
-    next batch while this one runs the current batch; it draws the batches
-    one after another from `rng`, so the stream, and every bit of the
-    result, is what a single thread would get."""
+    empirical moments. float32 sampling, float64 accumulation."""
     m32 = mean.astype(np.float32)
     s32 = np.sqrt(var).astype(np.float32)
-    sizes = [min(bs, n - done) for done in range(0, n, bs)]
     s1 = 0.0
     s2 = 0.0
-    with ThreadPoolExecutor(max_workers=1) as drawer:
-        def draw(b):
-            return drawer.submit(rng.standard_normal, (b,) + mean.shape, dtype=np.float32)
-
-        pending = draw(sizes[0])
-        for i in range(len(sizes)):
-            x = pending.result()
-            if i + 1 < len(sizes):
-                pending = draw(sizes[i + 1])
-            x *= s32
-            x += m32
-            y = apply(x).astype(np.float64)
-            s1 = s1 + y.sum(axis=0)
-            y *= y
-            s2 = s2 + y.sum(axis=0)
+    done = 0
+    while done < n:
+        b = min(bs, n - done)
+        x = m32[None] + s32[None] * rng.standard_normal((b,) + mean.shape, dtype=np.float32)
+        y = apply(x).astype(np.float64)
+        s1 = s1 + y.sum(axis=0)
+        s2 = s2 + (y * y).sum(axis=0)
+        done += b
     m = s1 / n
     return m, np.maximum(s2 / n - m * m, 0.0)
 
