@@ -34,8 +34,8 @@ class KnnConfig:
             raise ConfigError("window must be odd and >= 1")
         if not 1 <= self.k <= self.window**2:
             raise ConfigError("k must lie in [1, window^2]")
-        if self.cutoff <= 0:
-            raise ConfigError("cutoff must be positive")
+        if not np.isfinite(self.cutoff) or self.cutoff <= 0:
+            raise ConfigError("cutoff must be positive and finite")
         if self.weighting not in WEIGHTINGS:
             raise ConfigError(f"weighting must be one of {WEIGHTINGS}")
 
@@ -87,7 +87,7 @@ def knn_filter(
     # stable sort: equal gaps keep window scan order, matching the oracle
     nearest = np.argsort(gaps, axis=1, kind="stable")[:, : cfg.k]
     kept_gaps = np.take_along_axis(gaps, nearest, axis=1)
-    survives = kept_gaps <= cfg.cutoff  # also kills the inf (empty or pad) slots
+    survives = kept_gaps <= cfg.cutoff  # finite cutoff: kills the inf (empty or pad) slots
 
     labels = np.take_along_axis(windows(pixel_labels, 0), nearest, axis=1)
     if cfg.weighting == "uniform":

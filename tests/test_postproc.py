@@ -73,6 +73,12 @@ class TestKnnConfig:
         with pytest.raises(ConfigError):
             KnnConfig(cutoff=0.0)
 
+    @pytest.mark.parametrize("cutoff", [np.inf, np.nan])
+    def test_cutoff_finite(self, cutoff):
+        # an infinite cutoff would let empty and pad slots vote
+        with pytest.raises(ConfigError):
+            KnnConfig(cutoff=cutoff)
+
     def test_weighting_name_checked(self):
         with pytest.raises(ConfigError):
             KnnConfig(weighting="gaussian")
