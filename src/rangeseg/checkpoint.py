@@ -24,6 +24,7 @@ import numpy as np
 
 from .config import format_kv, model_config_from_dict, model_config_to_dict, parse_kv_text
 from .errors import CorruptCheckpointError, IncompatibleCheckpointError
+from .fileio import write_atomic
 from .model import Model, ModelConfig, build_model
 
 MAGIC = b"RSEGCKPT"
@@ -86,7 +87,7 @@ def _read_tensor(r: _Reader):
 
 
 def save_checkpoint(model: Model, extra_config: dict | None = None, path=None) -> bytes:
-    """Serialize the model (weights + buffers + config) to the container."""
+    """Serialize the model (weights + buffers + config) to the container; path gets it atomically."""
     config = {f"model.{k}": v for k, v in model_config_to_dict(model.cfg).items()}
     for k, v in (extra_config or {}).items():
         if k.startswith("model."):
@@ -106,8 +107,7 @@ def save_checkpoint(model: Model, extra_config: dict | None = None, path=None) -
         + body
     )
     if path is not None:
-        with open(path, "wb") as fh:
-            fh.write(blob)
+        write_atomic(path, blob)
     return blob
 
 

@@ -1,13 +1,15 @@
 """Command-line surface: train, infer, eval, uncertainty, project.
 
 Exit codes: 0 success, 2 usage or input-path problems, 1 runtime failure.
-Each run drops a manifest.json (written atomically) recording arguments,
-outputs, and a projection/network/kNN timing breakdown.
+Each run drops a manifest.json recording arguments, outputs, and a
+projection/network/kNN timing breakdown. Every file a command writes is
+written atomically (fileio.write_atomic).
 """
 
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import math
 import os
@@ -25,6 +27,7 @@ from .config import (
     train_config_from_dict,
 )
 from .errors import InvalidPointError, RangesegError, ScanFormatError
+from .fileio import write_atomic
 from .imageio import save_grayscale, save_labels
 from .metrics import ConfusionMatrix
 from .model import build_model, micro_config
@@ -67,12 +70,14 @@ def _ensure_dir(path):
     return path
 
 
-def _write_json_atomic(path, payload):
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    os.replace(tmp, path)
+def _write_json(path, payload):
+    write_atomic(path, (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode("utf-8"))
+
+
+def _write_npy(path, arr):
+    buf = io.BytesIO()
+    np.save(buf, arr)
+    write_atomic(path, buf.getvalue())
 
 
 def _manifest(command, args_dict, timings_ms, extra=None):
@@ -177,6 +182,10 @@ def _load_dir_dataset(data_dir, class_map):
 
 
 def cmd_train(args):
+    if args.train_config:
+        for flag, given in (("--epochs", args.epochs is not None), ("--no-augment", args.no_augment)):
+            if given:
+                raise UsageError(f"{flag} cannot be combined with --train-config; set it in the config file")
     out_dir = _ensure_dir(args.out_dir)
     class_map = None
     if args.data:
@@ -201,7 +210,8 @@ def cmd_train(args):
     if args.train_config:
         train_cfg = train_config_from_dict(load_kv_file(_require_file(args.train_config, "train config")))
     else:
-        train_cfg = TrainConfig(epochs=args.epochs, batch_size=4, seed=args.seed, augment=not args.no_augment)
+        epochs = 30 if args.epochs is None else args.epochs
+        train_cfg = TrainConfig(epochs=epochs, batch_size=4, seed=args.seed, augment=not args.no_augment)
 
     # synthetic scenes are ray-cast on a 64x512 grid; project onto the same
     proj_defaults = {} if args.data else {"proj.w": 512, "proj.h": 64}
@@ -235,7 +245,7 @@ def cmd_train(args):
             "per_class_iou": _iou_list(cm),
         },
     )
-    _write_json_atomic(os.path.join(out_dir, "manifest.json"), manifest)
+    _write_json(os.path.join(out_dir, "manifest.json"), manifest)
     print(f"trained {len(result.history)} epochs; point-wise train mIoU {cm.miou():.4f}")
     return 0
 
@@ -270,8 +280,7 @@ def cmd_infer(args):
         t3 = time.perf_counter()
 
         out_path = os.path.join(out_dir, _stem(path) + ".label")
-        with open(out_path, "wb") as fh:
-            fh.write(write_kitti_labels(points, class_map))
+        write_atomic(out_path, write_kitti_labels(points, class_map))
         outputs.append(out_path)
         if args.png:
             save_labels(os.path.join(out_dir, _stem(path) + ".png"), pixel_labels, model.cfg.num_classes)
@@ -286,7 +295,7 @@ def cmd_infer(args):
         per_scan.append({"scan": path, "out": out_path, **{k: round(v, 3) for k, v in timing.items()}})
 
     manifest = _manifest("infer", vars(args), totals, {"outputs": outputs, "per_scan": per_scan})
-    _write_json_atomic(os.path.join(out_dir, "manifest.json"), manifest)
+    _write_json(os.path.join(out_dir, "manifest.json"), manifest)
     print(json.dumps({k: round(v, 3) for k, v in totals.items()}))
     return 0
 
@@ -324,7 +333,7 @@ def cmd_eval(args):
     }
     text = json.dumps(report, indent=2, sort_keys=True)
     if args.out:
-        _write_json_atomic(args.out, report)
+        _write_json(args.out, report)
     print(text)
     return 0
 
@@ -355,11 +364,11 @@ def cmd_uncertainty(args):
         img = build_range_image(scan, proj)
         stem = _stem(path)
         mc = mc_dropout_infer(model, img.channels, args.mc_trials, seed=args.seed, rate=args.rate)
-        np.save(os.path.join(out_dir, f"{stem}_epistemic.npy"), mc.epistemic)
+        _write_npy(os.path.join(out_dir, f"{stem}_epistemic.npy"), mc.epistemic)
         outputs.append(save_grayscale(os.path.join(out_dir, f"{stem}_epistemic.png"), mc.epistemic))
         if noise is not None:
             adf = adf_infer(model, img.channels, noise, img.valid)
-            np.save(os.path.join(out_dir, f"{stem}_aleatoric.npy"), adf.aleatoric)
+            _write_npy(os.path.join(out_dir, f"{stem}_aleatoric.npy"), adf.aleatoric)
             outputs.append(save_grayscale(os.path.join(out_dir, f"{stem}_aleatoric.png"), adf.aleatoric))
         if args.gt:
             labeled = _decode_file(args.gt[i], "label file", read_kitti_labels, scan)
@@ -378,7 +387,7 @@ def cmd_uncertainty(args):
         print(f"selected_rate={best:.6g}")
 
     manifest = _manifest("uncertainty", vars(args), {}, result)
-    _write_json_atomic(os.path.join(out_dir, "manifest.json"), manifest)
+    _write_json(os.path.join(out_dir, "manifest.json"), manifest)
     return 0
 
 
@@ -408,7 +417,7 @@ def cmd_project(args):
         "project", vars(args), {"projection": proj_ms, "total": proj_ms},
         {"outputs": outputs, "report": report},
     )
-    _write_json_atomic(os.path.join(out_dir, "manifest.json"), manifest)
+    _write_json(os.path.join(out_dir, "manifest.json"), manifest)
     print(json.dumps(report))
     return 0
 
@@ -431,12 +440,12 @@ def build_parser():
     p.add_argument("--classmap", help="raw-to-train id map file")
     p.add_argument("--num-scans", type=int, default=20, help="synthetic dataset size")
     p.add_argument("--classes", type=int, default=4, help="synthetic class count")
-    p.add_argument("--epochs", type=int, default=30, help="used when no --train-config")
+    p.add_argument("--epochs", type=int, default=None, help="default 30; not with --train-config")
     p.add_argument("--model-config", help="key=value model config file")
     p.add_argument("--train-config", help="key=value train config file")
     p.add_argument("--out-dir", required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--no-augment", action="store_true")
+    p.add_argument("--no-augment", action="store_true", help="not with --train-config")
     _proj_flags(p)
     _knn_flags(p)
     p.set_defaults(func=cmd_train)

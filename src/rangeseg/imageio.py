@@ -1,5 +1,5 @@
 """Tiny image writers: grayscale and paletted label maps as 8-bit PNG,
-encoded with the standard library (zlib + struct)."""
+encoded with the standard library (zlib + struct) and written atomically."""
 
 from __future__ import annotations
 
@@ -8,6 +8,8 @@ import struct
 import zlib
 
 import numpy as np
+
+from .fileio import write_atomic
 
 _PNG_SIGNATURE = b"\x89PNG\r\n\x1a\n"
 
@@ -33,13 +35,12 @@ def _write_png(path, pixels: np.ndarray) -> str:
     rows = pixels.reshape(h, -1)
     scanlines = np.hstack([np.zeros((h, 1), dtype=np.uint8), rows])  # filter byte 0 (None)
     ihdr = struct.pack(">IIBBBBB", w, h, 8, color_type, 0, 0, 0)
-    path = str(path)
-    with open(path, "wb") as fh:
-        fh.write(_PNG_SIGNATURE)
-        fh.write(_chunk(b"IHDR", ihdr))
-        fh.write(_chunk(b"IDAT", zlib.compress(scanlines.tobytes())))
-        fh.write(_chunk(b"IEND", b""))
-    return path
+    return write_atomic(path, b"".join((
+        _PNG_SIGNATURE,
+        _chunk(b"IHDR", ihdr),
+        _chunk(b"IDAT", zlib.compress(scanlines.tobytes())),
+        _chunk(b"IEND", b""),
+    )))
 
 
 def save_grayscale(path, values: np.ndarray) -> str:

@@ -55,6 +55,25 @@ class Layer:
         return cache
 
 
+# Spare elements at the end of each row of the im2col columns and of the conv
+# output when a row (ho*wo elements) is a multiple of 1024 long. Every feature
+# map here has h*w a power of two, and rows a power of two apart fall into the
+# same cache sets, so BLAS packing thrashes (Goto & van de Geijn, ACM TOMS
+# 2008); single GEMMs ran up to 2x slower. The pad changes only the stride
+# between rows: BLAS runs the same kernels over the same values in the same
+# summation order, so every product is bit-identical. 1x1 convs use x itself
+# as columns, and the weight gradient uses gy as it comes: copying them to a
+# padded buffer gained nothing end to end.
+_PITCH_PAD = 16
+
+
+def _pitched(shape, dtype):
+    """An empty (..., L) view whose rows lie L + _PITCH_PAD elements apart if L % 1024 == 0."""
+    length = shape[-1]
+    pitch = length + _PITCH_PAD if length % 1024 == 0 else length
+    return np.empty(shape[:-1] + (pitch,), dtype=dtype)[..., :length]
+
+
 class Conv2d(Layer):
     """Dilated cross-correlation, stride 1, same-padding by default.
 
@@ -91,14 +110,15 @@ class Conv2d(Layer):
             x, h, w, p = x[:, :, -p : h + p, -p : w + p], h + 2 * p, w + 2 * p, 0
         ho, wo = h + 2 * p - d * (k - 1), w + 2 * p - d * (k - 1)
         nb = min(n, max(1, self.COLS_CHUNK_BYTES // (c * k * k * ho * wo * x.itemsize)))
-        cols = np.empty((nb, c, k, k, ho, wo), dtype=x.dtype)
+        cols = _pitched((nb, c * k * k, ho * wo), x.dtype)
+        fill = cols.reshape(nb, c, k, k, ho, wo)  # a view: only whole axes are split
         xp = np.zeros((nb, c, h + 2 * p, w + 2 * p), dtype=x.dtype)  # border stays 0
         for s in range(0, n, nb):
             m = min(nb, n - s)
             xp[:m, :, p : p + h, p : p + w] = x[s : s + m]
             taps = sliding_window_view(xp[:m], (d * (k - 1) + 1,) * 2, axis=(2, 3))[..., ::d, ::d]
-            cols[:m] = taps.transpose(0, 1, 4, 5, 2, 3)
-            yield s, cols[:m].reshape(m, c * k * k, ho * wo)
+            fill[:m] = taps.transpose(0, 1, 4, 5, 2, 3)
+            yield s, cols[:m]
 
     def _correlate(self, x, weight, bias=None, p=None):
         """x correlated with a (c_out, c, k, k) weight at padding p (default: the layer's)."""
@@ -110,7 +130,7 @@ class Conv2d(Layer):
         ho, wo = h + 2 * p - self.dilation * (self.k - 1), w + 2 * p - self.dilation * (self.k - 1)
         if ho <= 0 or wo <= 0:
             raise DimensionError(f"kernel does not fit input of spatial size {h}x{w}")
-        y = np.empty((n, c_out, ho * wo), dtype=np.result_type(weight, x))
+        y = _pitched((n, c_out, ho * wo), np.result_type(weight, x))
         w2d = weight.reshape(c_out, -1)
         for s, cols in self._columns(x, p):
             np.matmul(w2d, cols, out=y[s : s + len(cols)])

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 from pngcheck import read_png
 
+from rangeseg import cli
 from rangeseg.cli import _proj_from_args, build_parser, main
 from rangeseg.imageio import label_palette, normalize_to_u8
 from rangeseg.pointcloud import (
@@ -142,6 +143,36 @@ def test_train_config_file_controls_epochs(ws, tmp_path):
     ])
     assert rc == 0
     assert manifest_of(out)["epochs"] == 2
+
+
+@pytest.mark.parametrize("flag", [["--epochs", "3"], ["--no-augment"]], ids=["epochs", "no-augment"])
+def test_train_config_file_rejects_flags_it_overrides(tmp_path, capsys, flag):
+    cfg = tmp_path / "train.cfg"
+    cfg.write_text("epochs=2\n")
+    out = tmp_path / "o"
+    rc = main([
+        "train", "--synthetic", "--num-scans", "1", "--train-config", str(cfg),
+        "--out-dir", str(out), *flag,
+    ])
+    assert rc == 2
+    assert flag[0] in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_train_epochs_default_to_30(tmp_path, monkeypatch):
+    seen = []
+
+    def fake_train(model, scans, proj, cfg, log_path=None):
+        seen.append(cfg)
+        return SimpleNamespace(history=[], final_lr=cfg.lr0)
+
+    monkeypatch.setattr(cli, "train", fake_train)
+    rc = main([
+        "train", "--synthetic", "--num-scans", "1", "--classes", "4",
+        "--width", str(W), "--height", str(H), "--out-dir", str(tmp_path / "o"),
+    ])
+    assert rc == 0
+    assert seen[0].epochs == 30 and seen[0].augment
 
 
 def test_train_same_seed_reproduces_checkpoint(tmp_path):

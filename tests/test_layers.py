@@ -3,7 +3,10 @@
 import numpy as np
 import pytest
 
+from rangeseg import layers
+from rangeseg.adf import GaussianTensor, conv2d_adf
 from rangeseg.errors import DimensionError, StaleStateError
+from rangeseg.model import build_model, micro_config
 from rangeseg.layers import (
     AvgPool2x2,
     BatchNorm2d,
@@ -107,6 +110,46 @@ class TestConv2d:
             np.testing.assert_array_equal(np.concatenate([s[i] for s in singles]), whole[i])
         np.testing.assert_allclose(chunked[2], whole[2], rtol=1e-5, atol=1e-5)
         np.testing.assert_allclose(sum(s[2] for s in singles), whole[2], rtol=1e-5, atol=1e-5)
+
+    @pytest.mark.parametrize("k, dilation", [(1, 1), (3, 1), (3, 2)])
+    def test_gemm_pitch_is_bit_exact(self, monkeypatch, k, dilation):
+        # an 8x128 map has rows of 1024 elements, so its GEMM operands get the
+        # padded pitch; every product must equal the unpadded one bit for bit,
+        # at any batch chunking, in float32 and in the float64 ADF rule
+        rng = np.random.default_rng(11)
+        conv = Conv2d(3, 5, k=k, dilation=dilation, rng=rng)
+        conv.bias.value[:] = rng.normal(size=5)
+        conv64 = Conv2d(3, 5, k=k, dilation=dilation, rng=rng).cast(np.float64)
+        conv64.bias.value[:] = rng.normal(size=5)
+        x = rng.normal(size=(5, 3, 8, 128)).astype(np.float32)
+        gy = rng.normal(size=(5, 5, 8, 128)).astype(np.float32)
+        g = GaussianTensor(rng.normal(size=(2, 3, 8, 128)), rng.uniform(0.1, 1.0, size=(2, 3, 8, 128)))
+
+        def run():
+            y = conv.forward(x, cache=True)
+            conv.zero_grads()
+            gx = conv.backward(gy)
+            adf = conv2d_adf(conv64, g)
+            return y, [y.copy(), gx.copy(), conv.kernel.grad.copy(), adf.mean.copy(), adf.variance.copy()]
+
+        pad = layers._PITCH_PAD
+        for chunk in (1, 2 * 3 * k * k * 1024 * 4, Conv2d.COLS_CHUNK_BYTES):  # 1, 2, all 5 images
+            monkeypatch.setattr(Conv2d, "COLS_CHUNK_BYTES", chunk)
+            monkeypatch.setattr(layers, "_PITCH_PAD", pad)
+            y, padded = run()
+            assert y.strides[1] == (1024 + pad) * 4 != 1024 * 4
+            monkeypatch.setattr(layers, "_PITCH_PAD", 0)
+            y, plain = run()
+            assert y.flags.c_contiguous
+            for a, b in zip(padded, plain):
+                assert a.dtype == b.dtype
+                np.testing.assert_array_equal(a, b)
+
+    def test_model_output_is_contiguous(self):
+        # padded conv outputs are views; none may reach the caller of Model.forward
+        x = np.random.default_rng(12).normal(size=(2, 5, 8, 128)).astype(np.float32)
+        probs = build_model(micro_config(), seed=0).forward(x, mode="eval")
+        assert probs.flags.c_contiguous
 
     def test_macs_count(self):
         assert Conv2d(1, 1, k=1).macs(4, 4) == 16
