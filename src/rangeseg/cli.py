@@ -208,7 +208,9 @@ def cmd_train(args):
             f"model config has {model_cfg.num_classes} classes, synthetic data has {num_classes}"
         )
     if args.train_config:
-        train_cfg = train_config_from_dict(load_kv_file(_require_file(args.train_config, "train config")))
+        kv = load_kv_file(_require_file(args.train_config, "train config"))
+        kv.setdefault("seed", str(args.seed))
+        train_cfg = train_config_from_dict(kv)
     else:
         epochs = 30 if args.epochs is None else args.epochs
         train_cfg = TrainConfig(epochs=epochs, batch_size=4, seed=args.seed, augment=not args.no_augment)
@@ -444,7 +446,8 @@ def build_parser():
     p.add_argument("--model-config", help="key=value model config file")
     p.add_argument("--train-config", help="key=value train config file")
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0,
+                   help="seeds weights, scenes, shuffling and augmentation unless --train-config sets seed")
     p.add_argument("--no-augment", action="store_true", help="not with --train-config")
     _proj_flags(p)
     _knn_flags(p)

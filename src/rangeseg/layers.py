@@ -56,15 +56,22 @@ class Layer:
 
 
 # Spare elements at the end of each row of the im2col columns and of the conv
-# output when a row (ho*wo elements) is a multiple of 1024 long. Every feature
-# map here has h*w a power of two, and rows a power of two apart fall into the
-# same cache sets, so BLAS packing thrashes (Goto & van de Geijn, ACM TOMS
-# 2008); single GEMMs ran up to 2x slower. The pad changes only the stride
-# between rows: BLAS runs the same kernels over the same values in the same
-# summation order, so every product is bit-identical. 1x1 convs use x itself
-# as columns, and the weight gradient uses gy as it comes: copying them to a
-# padded buffer gained nothing end to end.
+# output when a row (a band's or an image's rows*wo elements) is a multiple of
+# 1024 long. Every feature map here has h*w a power of two, and rows a power of
+# two apart fall into the same cache sets, so BLAS packing thrashes (Goto & van
+# de Geijn, ACM TOMS 2008); single GEMMs ran up to 2x slower. The pad changes
+# only the stride between rows: BLAS runs the same kernels over the same values
+# in the same summation order, so every product is bit-identical. 1x1 convs use
+# x itself as columns, and the weight gradient uses gy as it comes: copying
+# them to a padded buffer gained nothing end to end.
 _PITCH_PAD = 16
+
+# Least multiply-accumulates in one band's GEMM. OpenBLAS 0.3.31 sends a GEMM
+# with M*N*K <= 1e6 to its small-matrix kernel, which sums in another order, so
+# a band that small would not match the same columns of the whole-image
+# product; every band above 1e6 MACs did, in float32 and float64, and 2**22
+# keeps well clear of the cutoff.
+_BAND_MACS = 1 << 22
 
 
 def _pitched(shape, dtype):
@@ -94,31 +101,46 @@ class Conv2d(Layer):
     def params(self):
         return [self.kernel, self.bias]
 
-    # im2col columns are built for a few images at a time, sized so that they
-    # stay in cache between the fill and the matmul; the per-image products
-    # are the same BLAS calls either way, so chunking does not change a bit
+    # im2col columns are built a few whole images at a time when one image's
+    # fit COLS_CHUNK_BYTES, else in bands of output rows of one image, so that
+    # they stay in cache between the fill and the matmul instead of going out
+    # to DRAM, in a fresh mmap, per image. Neither split changes a bit (see
+    # _BAND_MACS).
     COLS_CHUNK_BYTES = 1 << 20
 
-    def _columns(self, x, p):
-        """Yield (first image, (m, c*k*k, ho*wo) columns) of x padded by p, cropped if p < 0."""
+    def _columns(self, x, p, c_out, whole=False):
+        """Yield (first image, first output row, (m, c*k*k, rows*wo) columns) of x padded by p.
+
+        x is cropped if p < 0. A band has at least the rows that fit
+        COLS_CHUNK_BYTES and the rows whose GEMM with c_out outputs does
+        _BAND_MACS; the rows are shared out evenly, so later bands may be a
+        row shorter. The weight gradient sums over every pixel and asks for
+        whole images: bands would split its GEMM's K.
+        """
         n, c, h, w = x.shape
         d, k = self.dilation, self.k
         if k == 1 and not p:
-            yield 0, x.reshape(n, c, h * w)
+            yield 0, 0, x.reshape(n, c, h * w)
             return
         if p < 0:
             x, h, w, p = x[:, :, -p : h + p, -p : w + p], h + 2 * p, w + 2 * p, 0
         ho, wo = h + 2 * p - d * (k - 1), w + 2 * p - d * (k - 1)
-        nb = min(n, max(1, self.COLS_CHUNK_BYTES // (c * k * k * ho * wo * x.itemsize)))
-        cols = _pitched((nb, c * k * k, ho * wo), x.dtype)
-        fill = cols.reshape(nb, c, k, k, ho, wo)  # a view: only whole axes are split
+        row = c * k * k * wo * x.itemsize  # column bytes of one output row
+        nb = min(n, max(1, self.COLS_CHUNK_BYTES // (row * ho)))
+        floor = -(-_BAND_MACS // (c_out * c * k * k * wo))  # rows for _BAND_MACS, at least 1
+        bands = 1 if whole else max(1, ho // max(self.COLS_CHUNK_BYTES // row, floor))
+        edges = [-(-ho * i // bands) for i in range(bands + 1)]
+        cols = _pitched((nb, c * k * k, edges[1] * wo), x.dtype)
+        fill = cols.reshape(nb, c, k, k, edges[1], wo)  # a view: only whole axes are split
         xp = np.zeros((nb, c, h + 2 * p, w + 2 * p), dtype=x.dtype)  # border stays 0
         for s in range(0, n, nb):
             m = min(nb, n - s)
             xp[:m, :, p : p + h, p : p + w] = x[s : s + m]
             taps = sliding_window_view(xp[:m], (d * (k - 1) + 1,) * 2, axis=(2, 3))[..., ::d, ::d]
-            fill[:m] = taps.transpose(0, 1, 4, 5, 2, 3)
-            yield s, cols[:m]
+            taps = taps.transpose(0, 1, 4, 5, 2, 3)  # (m, c, k, k, ho, wo)
+            for r, e in zip(edges, edges[1:]):
+                fill[:m, ..., : e - r, :] = taps[..., r:e, :]
+                yield s, r, cols[:m, :, : (e - r) * wo]
 
     def _correlate(self, x, weight, bias=None, p=None):
         """x correlated with a (c_out, c, k, k) weight at padding p (default: the layer's)."""
@@ -132,8 +154,8 @@ class Conv2d(Layer):
             raise DimensionError(f"kernel does not fit input of spatial size {h}x{w}")
         y = _pitched((n, c_out, ho * wo), np.result_type(weight, x))
         w2d = weight.reshape(c_out, -1)
-        for s, cols in self._columns(x, p):
-            np.matmul(w2d, cols, out=y[s : s + len(cols)])
+        for s, r, cols in self._columns(x, p, c_out):
+            np.matmul(w2d, cols, out=y[s : s + len(cols), :, r * wo : r * wo + cols.shape[2]])
         y = y.reshape(n, c_out, ho, wo)
         if bias is not None:
             y += bias[None, :, None, None]
@@ -151,7 +173,7 @@ class Conv2d(Layer):
             raise DimensionError(f"gradient shape {gy.shape} != forward output {y_shape}")
         gy_flat = gy.reshape(len(gy), self.c_out, -1)
         gw = 0  # the columns are rebuilt, not cached: a cache would hold k*k copies of x
-        for s, cols in self._columns(x, self.padding):
+        for s, _, cols in self._columns(x, self.padding, self.c_out, whole=True):
             gw = gw + np.matmul(gy_flat[s : s + len(cols)], cols.transpose(0, 2, 1)).sum(axis=0)
         self.kernel.grad += gw.reshape(self.kernel.grad.shape)
         self.bias.grad += gy.sum(axis=(0, 2, 3))

@@ -145,6 +145,24 @@ def test_train_config_file_controls_epochs(ws, tmp_path):
     assert manifest_of(out)["epochs"] == 2
 
 
+def test_train_config_without_seed_takes_seed_flag(tmp_path):
+    # a config file that sets no seed must make the same run as --epochs with
+    # the same --seed: one seed for weights, scenes, shuffling and augmentation
+    cfg = tmp_path / "train.cfg"
+    cfg.write_text("epochs=1\nbatch_size=4\n")
+    common = ["train", "--synthetic", "--num-scans", "2", "--classes", "4",
+              "--width", str(W), "--height", str(H), "--seed", "5"]
+    assert main([*common, "--train-config", str(cfg), "--out-dir", str(tmp_path / "a")]) == 0
+    assert main([*common, "--epochs", "1", "--out-dir", str(tmp_path / "b")]) == 0
+
+    def losses(out):
+        lines = [json.loads(l) for l in open(out / "metrics.jsonl")]
+        return [{k: v for k, v in l.items() if k.startswith("loss")} for l in lines]
+
+    assert losses(tmp_path / "a") == losses(tmp_path / "b")
+    assert losses(tmp_path / "a")[0]
+
+
 @pytest.mark.parametrize("flag", [["--epochs", "3"], ["--no-augment"]], ids=["epochs", "no-augment"])
 def test_train_config_file_rejects_flags_it_overrides(tmp_path, capsys, flag):
     cfg = tmp_path / "train.cfg"

@@ -1,5 +1,7 @@
 """Behavioral contracts for the layer vocabulary (shapes, values, state)."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -144,6 +146,62 @@ class TestConv2d:
             for a, b in zip(padded, plain):
                 assert a.dtype == b.dtype
                 np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("dilation", [1, 2, 3])
+    def test_row_bands_are_bit_exact(self, monkeypatch, dilation):
+        # one image's columns overflow COLS_CHUNK_BYTES, so each image comes
+        # in 3 bands of output rows (17, 17, 16); every product must equal the
+        # whole-image one bit for bit: float32 output and both gradients, and
+        # the float64 ADF rule
+        rng = np.random.default_rng(13)
+        conv = Conv2d(8, 16, dilation=dilation, rng=rng)
+        conv.bias.value[:] = rng.normal(size=16)
+        conv64 = Conv2d(8, 16, dilation=dilation, rng=rng).cast(np.float64)
+        x = rng.normal(size=(2, 8, 50, 256)).astype(np.float32)
+        gy = rng.normal(size=(2, 16, 50, 256)).astype(np.float32)
+        g = GaussianTensor(rng.normal(size=(1, 8, 50, 256)), rng.uniform(0.1, 1.0, size=(1, 8, 50, 256)))
+        chunks = [(s, r, cols.shape) for s, r, cols in conv._columns(x, conv.padding, conv.c_out)]
+        assert chunks == [(s, r, (1, 72, rows * 256)) for s in (0, 1) for r, rows in ((0, 17), (17, 17), (34, 16))]
+
+        def run():
+            y = conv.forward(x, cache=True)
+            conv.zero_grads()
+            gx = conv.backward(gy)
+            adf = conv2d_adf(conv64, g)
+            return [y, gx, conv.kernel.grad.copy(), adf.mean, adf.variance]
+
+        banded = run()
+        monkeypatch.setattr(Conv2d, "COLS_CHUNK_BYTES", 1 << 40)  # one band per image
+        for a, b in zip(banded, run()):
+            assert a.dtype == b.dtype
+            np.testing.assert_array_equal(a, b)
+
+    def test_band_under_mac_floor_yields_whole_images(self):
+        # one image's columns (1.4 MB) overflow COLS_CHUNK_BYTES, but a band
+        # of 4 output channels would need 304 rows to reach _BAND_MACS
+        conv = Conv2d(3, 4)
+        x = np.zeros((2, 3, 100, 128), dtype=np.float32)
+        assert 27 * 100 * 128 * 4 > Conv2d.COLS_CHUNK_BYTES
+        chunks = [(s, r, cols.shape) for s, r, cols in conv._columns(x, conv.padding, conv.c_out)]
+        assert chunks == [(0, 0, (1, 27, 100 * 128)), (1, 0, (1, 27, 100 * 128))]
+
+    def test_band_memory_ceiling(self):
+        # one image's columns would take 20*9*64*2048*4 = 94 MB; with bands the
+        # peak is the input, its padded copy, the output and at most two bands
+        conv = Conv2d(20, 8)
+        shape = (1, 20, 64, 2048)
+        band = max(cols.nbytes for *_, cols in conv._columns(np.zeros(shape, np.float32), conv.padding, 8))
+        tracemalloc.start()
+        try:
+            x = np.ones(shape, dtype=np.float32)
+            conv.forward(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        pitch_pads = (8 + 180) * layers._PITCH_PAD * 4
+        bound = x.nbytes + 20 * 66 * 2050 * 4 + 8 * 64 * 2048 * 4 + 2 * band + pitch_pads
+        assert band < 4 << 20
+        assert peak <= bound
 
     def test_model_output_is_contiguous(self):
         # padded conv outputs are views; none may reach the caller of Model.forward
