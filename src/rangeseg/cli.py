@@ -340,11 +340,31 @@ def cmd_eval(args):
     return 0
 
 
+def _parse_rates(text, grid_search):
+    """--rates as floats in [0, 1), or the default grid when it is not given."""
+    if text is None:
+        return default_rate_grid()
+    if not grid_search:
+        raise UsageError("--rates needs --grid-search")
+    try:
+        rates = [float(t) for t in text.split(",")]
+    except ValueError:
+        raise UsageError(f"--rates must be comma-separated numbers, got {text!r}")
+    if not all(0.0 <= r < 1.0 for r in rates):
+        raise UsageError(f"--rates must each lie in [0, 1), got {text!r}")
+    return rates
+
+
 def cmd_uncertainty(args):
     if not args.scans:
         raise UsageError("no scans given")
     if args.mc_trials < 1:
         raise UsageError("--mc-trials must be >= 1")
+    if args.grid_search and not args.gt:
+        raise UsageError("--grid-search needs --gt label files for the calibration scans")
+    if args.gt and len(args.gt) != len(args.scans):
+        raise UsageError("--gt must list one label file per scan")
+    rates = _parse_rates(args.rates, args.grid_search)
     model, _, extras = load_checkpoint(_require_file(args.checkpoint, "checkpoint"))
     proj = _proj_from_args(args, extras)
     noise = None
@@ -353,11 +373,6 @@ def cmd_uncertainty(args):
     elif args.noise_var is not None:
         noise = SensorNoiseModel.isotropic(args.noise_var)
     out_dir = _ensure_dir(args.out_dir)
-
-    if args.grid_search and not args.gt:
-        raise UsageError("--grid-search needs --gt label files for the calibration scans")
-    if args.gt and len(args.gt) != len(args.scans):
-        raise UsageError("--gt must list one label file per scan")
 
     outputs = []
     calibration = []
@@ -380,7 +395,6 @@ def cmd_uncertainty(args):
     if args.grid_search:
         if noise is None:
             noise = SensorNoiseModel.isotropic(0.0)
-        rates = [float(t) for t in args.rates.split(",")] if args.rates else default_rate_grid()
         best, objectives = grid_search_dropout_rate(
             model, calibration, rates, noise, n_trials=args.mc_trials, seed=args.seed
         )

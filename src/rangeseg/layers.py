@@ -207,15 +207,20 @@ class BatchNorm2d(Layer):
         self.running_var = self.running_var.astype(dtype)
         return self
 
+    def update_running(self, mean, var):
+        """r <- (1 - m) * r + m * stat for both running statistics."""
+        m = self.momentum
+        self.running_mean[...] = (1 - m) * self.running_mean + m * mean
+        self.running_var[...] = (1 - m) * self.running_var + m * var
+
     def forward(self, x, train=False, cache=False):
         if x.shape[1] != self.c:
             raise DimensionError(f"batch norm expects {self.c} channels, got {x.shape[1]}")
         if train:
             mean = x.mean(axis=(0, 2, 3))
             var = x.var(axis=(0, 2, 3))
-            m = self.momentum
-            self.running_mean[...] = (1 - m) * self.running_mean + m * mean
-            self.running_var[...] = (1 - m) * self.running_var + m * var
+            self.last_stats = (mean, var)  # the batch statistics, for BN re-estimation
+            self.update_running(mean, var)
         else:
             mean = self.running_mean.astype(x.dtype)
             var = self.running_var.astype(x.dtype)

@@ -75,6 +75,12 @@ class ModelConfig:
             raise ConfigError("num_pool_stages must lie in [1, len(encoder_channels) - 1]")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ConfigError("dropout_rate must lie in [0, 1)")
+        if not 0.0 <= self.leaky_slope <= 1.0:
+            raise ConfigError("leaky_slope must lie in [0, 1]")
+        if not 0.0 < self.bn_eps < np.inf:
+            raise ConfigError("bn_eps must be finite and > 0")
+        if not 0.0 <= self.bn_momentum <= 1.0:
+            raise ConfigError("bn_momentum must lie in [0, 1]")
         dec = self.decoder_channels or self.derived_decoder_channels()
         object.__setattr__(self, "decoder_channels", dec)
         if len(dec) != self.num_pool_stages:

@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, DimensionError, EmptyBatchError, TrainingDivergedError
+from .layers import BatchNorm2d
 from .losses import total_loss
 from .metrics import ConfusionMatrix
 from .model import Model
@@ -94,12 +95,28 @@ def reestimate_bn_stats(model, scans, proj_cfg, passes: int = 3):
     biased and eval-mode accuracy lags well behind batch-stat accuracy.
     A few dropout-free train-mode passes realign them. Parameters are
     untouched, only the BN buffers move.
+
+    Every pass feeds each BN layer the same batch (mean, var) per scan:
+    train-mode BN normalises with the batch statistics, not the running
+    ones; rate-0 dropout is the identity and draws no random numbers; and
+    no parameter moves. So one forward per scan records those statistics,
+    and the later passes replay the momentum updates r <- (1 - m) * r +
+    m * stat per layer in scan order, bit-equal to running the forwards.
+    The record holds 2 x (BN channels) values per scan: in float32, 3.3 KB
+    per scan for the micro net and 42 KB for the default net.
     """
-    rng = np.random.default_rng(0)
-    for _ in range(passes):
-        for scan in scans:
-            img = build_range_image(scan, proj_cfg)
-            model.forward(img.channels, mode="train", rng=rng, rate=0.0)
+    if passes < 1:
+        return
+    bns = [layer for _, layer in model.named_layers() if isinstance(layer, BatchNorm2d)]
+    stats = []
+    for scan in scans:
+        img = build_range_image(scan, proj_cfg)
+        model.forward(img.channels, mode="train", rate=0.0)
+        stats.append([bn.last_stats for bn in bns])
+    for _ in range(passes - 1):
+        for scan_stats in stats:
+            for bn, (mean, var) in zip(bns, scan_stats):
+                bn.update_running(mean, var)
 
 
 def train(

@@ -132,6 +132,21 @@ def test_train_class_count_mismatch_exits_two(tmp_path):
     assert rc == 2
 
 
+def test_train_model_config_out_of_range_exits_one(tmp_path, capsys):
+    cfg = tmp_path / "model.cfg"
+    cfg.write_text("num_classes=4\nbase_channels=8\nencoder_channels=8,16,32\n"
+                   "num_pool_stages=2\nleaky_slope=2.0\n")
+    rc = main([
+        "train", "--synthetic", "--num-scans", "1", "--classes", "4", "--epochs", "1",
+        "--width", str(W), "--height", str(H), "--model-config", str(cfg),
+        "--out-dir", str(tmp_path / "o"),
+    ])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "ConfigError" in err and "leaky_slope" in err
+    assert "Traceback" not in err
+
+
 def test_train_config_file_controls_epochs(ws, tmp_path):
     cfg = tmp_path / "train.cfg"
     cfg.write_text("epochs=2\nbatch_size=2\nseed=5\naugment=false\n")
@@ -351,6 +366,20 @@ def test_uncertainty_grid_search_selects_rate(ws, tmp_path, capsys):
     m = manifest_of(out)
     assert m["selected_rate"] in (0.05, 0.3)
     assert set(m["objectives"]) == {"0.05", "0.3"}
+
+
+@pytest.mark.parametrize("rates, grid", [
+    ("abc", True), ("0.1,1.5", True), ("0.1,,0.3", True), ("nan", True), ("0.1,0.3", False),
+], ids=["not-a-number", "out-of-range", "empty-entry", "nan", "without-grid-search"])
+def test_uncertainty_bad_rates_exit_two_before_any_work(ws, tmp_path, capsys, rates, grid):
+    out = tmp_path / "unc"
+    gt = str(ws.gt_dir / "scan000.label")
+    rc = main(["uncertainty", ws.scan_paths[0], "--checkpoint", ws.ckpt,
+               "--mc-trials", "2", *(["--grid-search"] if grid else []), "--rates", rates,
+               "--gt", gt, "--out-dir", str(out)])
+    assert rc == 2
+    assert "--rates" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_uncertainty_grid_search_needs_gt(ws, tmp_path):

@@ -186,6 +186,19 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             ModelConfig(num_classes=4, dropout_rate=1.0)
 
+    @pytest.mark.parametrize("kwargs", [
+        {"leaky_slope": -0.01}, {"leaky_slope": 2.0}, {"leaky_slope": float("nan")},
+        {"bn_eps": 0.0}, {"bn_eps": -1.0}, {"bn_eps": float("nan")}, {"bn_eps": float("inf")},
+        {"bn_momentum": -0.1}, {"bn_momentum": 1.5}, {"bn_momentum": float("nan")},
+    ], ids=str)
+    def test_layer_hyperparameter_ranges(self, kwargs):
+        with pytest.raises(ConfigError):
+            ModelConfig(num_classes=4, **kwargs)
+
+    def test_layer_hyperparameter_bounds_accepted(self):
+        ModelConfig(num_classes=4, leaky_slope=0.0, bn_momentum=0.0)
+        ModelConfig(num_classes=4, leaky_slope=1.0, bn_momentum=1.0)
+
     def test_decoder_length_must_match_pools(self):
         with pytest.raises(ConfigError):
             ModelConfig(num_classes=4, base_channels=8, encoder_channels=(8, 16, 32),

@@ -1,5 +1,6 @@
-"""Optimizer arithmetic and the seeded training loop."""
+"""Optimizer arithmetic, the seeded training loop and BN re-estimation."""
 
+import copy
 import json
 
 import numpy as np
@@ -10,12 +11,13 @@ from rangeseg.layers import Param
 from rangeseg.model import build_model, micro_config
 from rangeseg.pointcloud import ClassWeights, default_scene_spec, generate_synthetic_scene
 from rangeseg.postproc import KnnConfig
-from rangeseg.projection import ProjectionConfig
+from rangeseg.projection import ProjectionConfig, build_range_image
 from rangeseg.train import (
     MomentumState,
     TrainConfig,
     evaluate_pointwise,
     normalize_weights,
+    reestimate_bn_stats,
     sgd_step,
     train,
 )
@@ -153,6 +155,7 @@ class TestTrainingLoop:
             model = build_model(micro_config(num_classes=4), seed=2)
             train(model, scans(2), PROJ, cfg)
             outs.append({n: p.value.copy() for n, p in model.named_params()})
+            outs[-1].update({n: b.copy() for n, b in model.named_buffers()})
         for name in outs[0]:
             np.testing.assert_array_equal(outs[0][name], outs[1][name])
 
@@ -176,6 +179,48 @@ class TestTrainingLoop:
         cfg = TrainConfig(epochs=0, batch_size=2, seed=0)
         result = train(model, scans(1), PROJ, cfg, weights=w)
         assert result.weights is w
+
+
+def reestimate_by_forwards(model, scan_list, passes):
+    """The oracle: passes x scans dropout-free train-mode forwards, in scan order."""
+    rng = np.random.default_rng(0)
+    for _ in range(passes):
+        for scan in scan_list:
+            img = build_range_image(scan, PROJ)
+            model.forward(img.channels, mode="train", rng=rng, rate=0.0)
+
+
+class TestReestimateBnStats:
+    @pytest.fixture(scope="class")
+    def trained(self):
+        # one epoch moves the running statistics off their defaults
+        model = build_model(micro_config(num_classes=4), seed=2)
+        train(model, scans(2), PROJ, TrainConfig(epochs=1, batch_size=2, seed=0, augment=True))
+        return model
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("passes", [0, 1, 3])
+    def test_replay_matches_forward_loop(self, trained, passes, dtype):
+        data = scans(3, first=4)
+        oracle, model = copy.deepcopy(trained).cast(dtype), copy.deepcopy(trained).cast(dtype)
+        params_before = {n: p.value.copy() for n, p in model.named_params()}
+        buffers_before = {n: b.copy() for n, b in model.named_buffers()}
+        reestimate_by_forwards(oracle, data, passes)
+
+        calls = []
+        forward = model.forward
+        model.forward = lambda *a, **k: calls.append(1) or forward(*a, **k)
+        reestimate_bn_stats(model, data, PROJ, passes=passes)
+
+        assert len(calls) == (len(data) if passes else 0)
+        expected = dict(oracle.named_buffers())
+        for name, buf in model.named_buffers():
+            assert buf.dtype == expected[name].dtype
+            np.testing.assert_array_equal(buf, expected[name], err_msg=name)
+        moved = any(not np.array_equal(b, buffers_before[n]) for n, b in model.named_buffers())
+        assert moved == (passes > 0)
+        for name, p in model.named_params():
+            np.testing.assert_array_equal(p.value, params_before[name], err_msg=name)
 
 
 class TestEvaluatePointwise:
