@@ -66,6 +66,14 @@ class _Reader:
         self.off += n
         return out
 
+    def text(self, n: int) -> str:
+        """The next n bytes as utf-8 text."""
+        raw = self.take(n)
+        try:
+            return raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise CorruptCheckpointError(f"{n} bytes before offset {self.off} are not valid utf-8") from exc
+
     def unpack(self, fmt: str):
         return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
 
@@ -75,7 +83,7 @@ class _Reader:
 
 def _read_tensor(r: _Reader):
     (name_len,) = r.unpack("<H")
-    name = r.take(name_len).decode("utf-8")
+    name = r.text(name_len)
     tag, rank = r.unpack("<BB")
     dtype = _TAG_DTYPES.get(tag)
     if dtype is None:
@@ -125,7 +133,7 @@ def load_checkpoint(blob_or_path) -> tuple[Model, ModelConfig, dict]:
     if version != VERSION:
         raise IncompatibleCheckpointError(f"format version {version}, supported: {VERSION}")
     (cfg_len,) = r.unpack("<I")
-    config = parse_kv_text(r.take(cfg_len).decode("utf-8"))
+    config = parse_kv_text(r.text(cfg_len))
     model_keys = {k[len("model.") :]: v for k, v in config.items() if k.startswith("model.")}
     extras = {k: v for k, v in config.items() if not k.startswith("model.")}
     cfg = model_config_from_dict(model_keys)

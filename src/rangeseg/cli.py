@@ -262,6 +262,8 @@ def cmd_infer(args):
     model, _, extras = load_checkpoint(_require_file(args.checkpoint, "checkpoint"))
     proj = _proj_from_args(args, extras)
     class_map = ClassMap.load(_require_file(args.classmap, "class map")) if args.classmap else None
+    if class_map is not None and class_map.num_classes != model.cfg.num_classes:
+        raise UsageError(f"class map has {class_map.num_classes} classes, the checkpoint {model.cfg.num_classes}")
     knn_cfg = None if args.no_knn else _knn_from_args(args)
     out_dir = _ensure_dir(args.out_dir)
 
@@ -364,6 +366,8 @@ def cmd_uncertainty(args):
         raise UsageError("--grid-search needs --gt label files for the calibration scans")
     if args.gt and len(args.gt) != len(args.scans):
         raise UsageError("--gt must list one label file per scan")
+    if args.rate is not None and not 0.0 <= args.rate < 1.0:  # NaN fails the test too
+        raise UsageError(f"--rate must lie in [0, 1), got {args.rate}")
     rates = _parse_rates(args.rates, args.grid_search)
     model, _, extras = load_checkpoint(_require_file(args.checkpoint, "checkpoint"))
     proj = _proj_from_args(args, extras)

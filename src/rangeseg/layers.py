@@ -3,7 +3,7 @@
 Tensors are plain numpy arrays in NCHW layout, float32 in production (tests
 may cast layers to float64). Each layer caches what its backward pass needs
 when forward is called with cache=True; backward without a cache raises.
-There is no autodiff graph — the model wires these calls explicitly.
+The model records these calls on a tape and replays their backwards in reverse.
 """
 
 from __future__ import annotations

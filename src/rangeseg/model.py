@@ -18,19 +18,21 @@ and the last decoder stage.
 Each block wires its layers once, in ``run``: fed an array it runs the
 forward pass, fed a GaussianTensor it runs assumed density filtering (each
 layer's ADF rule, eval-mode statistics). ``children()`` lists a block's parts
-once, and ``layers()``/``macs()`` derive from it. ``backward`` is the
-hand-written adjoint; each layer caches what its backward needs, so
-Model.backward must follow a cache-enabled forward.
+once, and ``layers()``/``macs()`` derive from it. There is no hand-written
+block adjoint: a cache-enabled forward records a tape of its layer calls,
+concatenations and residual adds, and ``Model.backward`` replays it in
+reverse (reverse-mode differentiation; Baydin et al., arXiv 1502.05767).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .adf import GaussianTensor, adf_forward
-from .errors import ConfigError, DimensionError
+from .errors import ConfigError, DimensionError, StaleStateError
 from .layers import (
     AvgPool2x2,
     BatchNorm2d,
@@ -98,50 +100,69 @@ class ModelConfig:
 
 
 class _RunState:
-    """Per-forward knobs threaded through the blocks."""
+    """Per-forward knobs threaded through the blocks, and a recorded forward's tape.
 
-    __slots__ = ("bn_train", "drop_active", "rng", "trials", "rate", "cache")
+    Each op that makes a new array appends (back, input nodes); back maps the
+    output's gradient to one per input. Node 0 is the input, node i + 1 the
+    output of entry i. A node is found by the id of its array, alive while an
+    op can still read it, so the tape holds no arrays.
+    """
 
-    def __init__(self, bn_train, drop_active, rng, rate, cache):
+    __slots__ = ("bn_train", "drop_active", "rng", "trials", "rate", "cache", "tape", "nodes")
+
+    def __init__(self, bn_train, drop_active, rng, rate, cache, record=None):
         self.bn_train = bn_train
         self.drop_active = drop_active
         self.rng = rng
         self.trials = isinstance(rng, (list, tuple))  # one generator per MC trial of one image
         self.rate = rate
         self.cache = cache
+        self.tape = None if record is None else []  # record: the input array of a recorded forward
+        self.nodes = {id(record): 0}
+
+    def _record(self, out, back, *inputs):
+        if self.tape is not None:
+            self.tape.append((back, [self.nodes[id(a)] for a in inputs]))
+            self.nodes[id(out)] = len(self.tape)
+        return out
 
     def apply(self, layer, x):
         """The layer's forward on an array, its ADF rule on a GaussianTensor."""
         if isinstance(x, GaussianTensor):
             return adf_forward(layer, x)
         if isinstance(layer, BatchNorm2d):
-            return layer.forward(x, train=self.bn_train, cache=self.cache)
-        if isinstance(layer, ChannelDropout):
-            return layer.forward(x, active=self.drop_active, rng=self.rng, rate=self.rate, cache=self.cache)
-        return layer.forward(x, cache=self.cache)
+            y = layer.forward(x, train=self.bn_train, cache=self.cache)
+        elif isinstance(layer, ChannelDropout):
+            y = layer.forward(x, active=self.drop_active, rng=self.rng, rate=self.rate, cache=self.cache)
+        else:
+            y = layer.forward(x, cache=self.cache)
+        return y if y is x else self._record(y, partial(_layer_backward, layer), x)  # y is x: dropout off
+
+    def cat(self, parts):
+        """Channel concatenation of arrays, or of Gaussians' means and variances.
+
+        A forward over several MC trials broadcasts batch-1 skips to the widened batch.
+        """
+        if isinstance(parts[0], GaussianTensor):
+            return GaussianTensor(
+                np.concatenate([p.mean for p in parts], axis=1),
+                np.concatenate([p.variance for p in parts], axis=1),
+            )
+        if self.trials:
+            parts = [np.broadcast_to(p, parts[0].shape[:1] + p.shape[1:]) for p in parts]
+        edges = np.cumsum([p.shape[1] for p in parts[:-1]]).tolist()
+        return self._record(np.concatenate(parts, axis=1), lambda g: np.split(g, edges, axis=1), *parts)
+
+    def add(self, a, b):
+        # residual merges treat the branches as independent (moment matching)
+        if isinstance(a, GaussianTensor):
+            return GaussianTensor(a.mean + b.mean, a.variance + b.variance)
+        return self._record(a + b, lambda g: [g, g], a, b)
 
 
-def _cat(parts, widen=False):
-    """Channel concatenation of arrays, or of Gaussians' means and variances.
-
-    widen: broadcast batch-1 parts to the first part's batch, for skips taken
-    before an MC forward over several trials widened its batch.
-    """
-    if isinstance(parts[0], GaussianTensor):
-        return GaussianTensor(
-            np.concatenate([p.mean for p in parts], axis=1),
-            np.concatenate([p.variance for p in parts], axis=1),
-        )
-    if widen:
-        parts = [np.broadcast_to(p, parts[0].shape[:1] + p.shape[1:]) for p in parts]
-    return np.concatenate(parts, axis=1)
-
-
-def _add(a, b):
-    # residual merges treat the branches as independent (moment matching)
-    if isinstance(a, GaussianTensor):
-        return GaussianTensor(a.mean + b.mean, a.variance + b.variance)
-    return a + b
+def _layer_backward(layer, g):
+    # bound by partial, not a closure, so a deep copy of the model replays onto its own layers
+    return [layer.backward(g)]
 
 
 class _Block:
@@ -188,9 +209,6 @@ class ConvUnit(_Block):
             x = rs.apply(layer, x)
         return x
 
-    def backward(self, g):
-        return self.conv.backward(self.act.backward(self.bn.backward(g)))
-
 
 class ContextBlock(_Block):
     """Residual pairing of a 1x1 shortcut with a 3x3 then dilated-3x3 path."""
@@ -204,10 +222,7 @@ class ContextBlock(_Block):
         return [("short", self.short), ("main1", self.main1), ("main2", self.main2)]
 
     def run(self, x, rs):
-        return _add(self.short.run(x, rs), self.main2.run(self.main1.run(x, rs), rs))
-
-    def backward(self, g):
-        return self.short.backward(g) + self.main1.backward(self.main2.backward(g))
+        return rs.add(self.short.run(x, rs), self.main2.run(self.main1.run(x, rs), rs))
 
 
 class DilatedFusionBlock(_Block):
@@ -219,7 +234,6 @@ class DilatedFusionBlock(_Block):
     """
 
     def __init__(self, c_in, c_out, cfg: ModelConfig, rng):
-        self.c_out = c_out
         self.branches = [ConvUnit(c_in, c_out, 3, d, cfg, rng) for d in (1, 2, 3)]
         self.fuse = ConvUnit(3 * c_out, c_out, 1, 1, cfg, rng)
         self.project = None if c_in == c_out else ConvUnit(c_in, c_out, 1, 1, cfg, rng)
@@ -229,17 +243,8 @@ class DilatedFusionBlock(_Block):
         return named + [("fuse", self.fuse), ("project", self.project)]
 
     def run(self, x, rs):
-        y = self.fuse.run(_cat([b.run(x, rs) for b in self.branches]), rs)
-        return _add(y, x if self.project is None else self.project.run(x, rs))
-
-    def backward(self, g):
-        g_cat = self.fuse.backward(g)
-        c = self.c_out
-        gx = self.branches[0].backward(g_cat[:, :c])
-        gx += self.branches[1].backward(g_cat[:, c : 2 * c])
-        gx += self.branches[2].backward(g_cat[:, 2 * c :])
-        gx += g if self.project is None else self.project.backward(g)
-        return gx
+        y = self.fuse.run(rs.cat([b.run(x, rs) for b in self.branches]), rs)
+        return rs.add(y, x if self.project is None else self.project.run(x, rs))
 
 
 class EncoderStage(_Block):
@@ -259,35 +264,19 @@ class EncoderStage(_Block):
                 out = rs.apply(layer, out)
         return f, out  # f is the skip tensor, taken before dropout
 
-    def backward(self, g, g_skip):
-        if self.pool is not None:
-            g = self.pool.backward(g)
-        if self.drop is not None:
-            g = self.drop.backward(g)
-        if g_skip is not None:
-            g = g + g_skip
-        return self.block.backward(g)
-
 
 class DecoderStage(_Block):
     def __init__(self, c_in, skip_c, c_out, has_dropout, cfg: ModelConfig, rng):
-        self.up_c = c_in // 4
         self.up = PixelShuffle(2)
-        self.block = DilatedFusionBlock(self.up_c + skip_c, c_out, cfg, rng)
+        self.block = DilatedFusionBlock(c_in // 4 + skip_c, c_out, cfg, rng)
         self.drop = ChannelDropout(cfg.dropout_rate) if has_dropout else None
 
     def children(self):
         return [("up", self.up), ("block", self.block), ("drop", self.drop)]
 
     def run(self, x, skip, rs):
-        y = self.block.run(_cat([rs.apply(self.up, x), skip], widen=rs.trials), rs)
+        y = self.block.run(rs.cat([rs.apply(self.up, x), skip]), rs)
         return y if self.drop is None else rs.apply(self.drop, y)
-
-    def backward(self, g):
-        if self.drop is not None:
-            g = self.drop.backward(g)
-        g_cat = self.block.backward(g)
-        return self.up.backward(g_cat[:, : self.up_c]), g_cat[:, self.up_c :]
 
 
 class Model(_Block):
@@ -316,6 +305,7 @@ class Model(_Block):
             c = c_out
         self.head = Conv2d(c, cfg.num_classes, k=1, rng=rng)
         self.softmax = Softmax()
+        self._tape = None  # the last forward's, if it was recorded
 
     # ---- plumbing ----------------------------------------------------
 
@@ -396,8 +386,11 @@ class Model(_Block):
                 raise DimensionError(f"a sequence of generators takes one image, got a batch of {len(x)}")
         elif rng is None and seed is not None:
             rng = np.random.default_rng(seed)
-        rs = _RunState(mode == "train", mode in ("train", "mc"), rng, rate, cache)
+        rs = _RunState(mode == "train", mode in ("train", "mc"), rng, rate, cache,
+                       record=x if cache and not trials else None)
+        self._tape = None
         probs = self._run(x, rs)
+        self._tape = rs.tape
         if trials and len(probs) < len(rng):
             probs = np.repeat(probs, len(rng), axis=0)
         return probs[0] if squeeze else probs
@@ -416,19 +409,24 @@ class Model(_Block):
         return rs.apply(self.softmax, rs.apply(self.head, h))
 
     def backward(self, g_probs):
-        """Backprop d(loss)/d(probabilities); accumulates into Param.grad."""
-        if g_probs.ndim == 3:
-            g_probs = g_probs[None]
-        g = self.head.backward(self.softmax.backward(g_probs))
-        skip_grads = []  # enc0's first, the order _run pushed the skips in
-        for st in reversed(self.decoder):
-            g, g_skip = st.backward(g)
-            skip_grads.append(g_skip)
-        for st in reversed(self.encoder):
-            g = st.backward(g, skip_grads.pop() if st.pool is not None else None)
-        for blk in reversed(self.context):
-            g = blk.backward(g)
-        return g
+        """Replay the last forward's tape from d(loss)/d(probabilities); returns d(loss)/d(input).
+
+        Accumulates into Param.grad. A node's gradient parts are summed in
+        the order the forward read the array, which fixes the rounding.
+        """
+        tape = self._tape
+        if tape is None:
+            raise StaleStateError("Model.backward needs a cache-enabled forward with one generator")
+        parts = [[] for _ in tape] + [[g_probs[None] if g_probs.ndim == 3 else g_probs]]
+        for node in range(len(tape), -1, -1):
+            g = parts[node].pop()  # the replay meets the readers last first
+            while parts[node]:
+                g = g + parts[node].pop()
+            if node == 0:
+                return g
+            back, inputs = tape[node - 1]
+            for i, gi in zip(inputs, back(g)):
+                parts[i].append(gi)
 
     def adf(self, g: GaussianTensor) -> GaussianTensor:
         """Propagate a Gaussian input through the net (eval-mode statistics)."""

@@ -88,6 +88,8 @@ class ClassMap:
                 raw_id, train_id = int(parts[0]), int(parts[1])
             except ValueError as exc:
                 raise ClassMapError(f"line {lineno}: non-integer id in {raw_line!r}") from exc
+            if train_id < 0:
+                raise ClassMapError(f"line {lineno}: negative training id in {raw_line!r}")
             if raw_id in to_train:
                 raise ClassMapError(f"line {lineno}: duplicate raw id {raw_id}")
             to_train[raw_id] = train_id
@@ -122,12 +124,16 @@ class ClassMap:
         return mapped
 
     def unmap(self, train_ids: np.ndarray) -> np.ndarray:
-        """Map training indices back to representative raw ids."""
+        """Map training indices back to representative raw ids; ids without one are an error."""
         train_ids = np.asarray(train_ids)
-        lut = np.zeros(self.num_classes, dtype=np.uint32)
+        lut = np.full(self.num_classes, -1, dtype=np.int64)
         for t, r in self.inverse.items():
             lut[t] = r
-        return lut[train_ids]
+        raw = lut[np.clip(train_ids, 0, len(lut) - 1)]
+        missing = (train_ids < 0) | (train_ids >= len(lut)) | (raw < 0)
+        if np.any(missing):
+            raise ClassMapError(f"training id {int(train_ids[missing][0])} has no raw id in the class map")
+        return raw.astype(np.uint32)
 
 
 def read_kitti_scan(blob: bytes) -> LidarScan:

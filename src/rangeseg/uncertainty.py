@@ -81,6 +81,8 @@ def mc_dropout_infer(model: Model, x: np.ndarray, n: int, seed=0, rate=None) -> 
     """
     if n < 1:
         raise InvalidTrialsError("need at least one trial")
+    if rate is not None and not 0.0 <= rate < 1.0:  # NaN fails the test too
+        raise ConfigError(f"dropout rate must lie in [0, 1), got {rate}")
     x = np.asarray(x)
     if x.ndim != 3:
         raise DimensionError(f"expected one (channels, h, w) image, got {x.shape}")

@@ -141,6 +141,15 @@ class TestRejection:
         with pytest.raises(CorruptCheckpointError, match="dtype"):
             load_checkpoint(tampered)
 
+    @pytest.mark.parametrize("where", ["config", "tensor-name"])
+    def test_invalid_utf8_is_corrupt(self, model, where):
+        from rangeseg.errors import CorruptCheckpointError
+        blob = bytearray(save_checkpoint(model))
+        cfg_len = struct.unpack("<I", blob[12:16])[0]
+        blob[20 if where == "config" else 16 + cfg_len + 4 + 2] = 0xFF  # 0xFF never occurs in utf-8
+        with pytest.raises(CorruptCheckpointError, match="utf-8"):
+            load_checkpoint(bytes(blob))
+
     def test_magic_spelled_as_documented(self):
         assert MAGIC == b"RSEGCKPT" and VERSION == 1
 

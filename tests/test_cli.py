@@ -265,6 +265,17 @@ def test_infer_without_scans_exits_two(ws, tmp_path):
     assert main(["infer", "--checkpoint", ws.ckpt, "--out-dir", str(tmp_path)]) == 2
 
 
+def test_infer_classmap_class_count_mismatch_exits_two(ws, tmp_path, capsys):
+    cmap = tmp_path / "two.classmap"
+    cmap.write_text("10 0 car\n40 1 road\n")  # the checkpoint has 4 classes
+    out = tmp_path / "pred"
+    rc = main(["infer", ws.scan_paths[0], "--checkpoint", ws.ckpt,
+               "--classmap", str(cmap), "--out-dir", str(out)])
+    assert rc == 2
+    assert "class map has 2 classes" in capsys.readouterr().err
+    assert not (out / "scan000.label").exists()
+
+
 def test_infer_missing_checkpoint_exits_two(ws, tmp_path):
     rc = main(["infer", ws.scan_paths[0], "--checkpoint", str(tmp_path / "no.rseg"),
                "--out-dir", str(tmp_path / "o")])
@@ -379,6 +390,20 @@ def test_uncertainty_bad_rates_exit_two_before_any_work(ws, tmp_path, capsys, ra
                "--gt", gt, "--out-dir", str(out)])
     assert rc == 2
     assert "--rates" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("rate", ["1.0", "1.5", "-0.5", "nan"])
+def test_uncertainty_bad_rate_exits_two_before_any_work(ws, tmp_path, capsys, monkeypatch, rate):
+    def no_load(*_):
+        raise AssertionError("checkpoint loaded")
+
+    monkeypatch.setattr(cli, "load_checkpoint", no_load)
+    out = tmp_path / "unc"
+    rc = main(["uncertainty", ws.scan_paths[0], "--checkpoint", ws.ckpt,
+               "--mc-trials", "2", "--rate", rate, "--out-dir", str(out)])
+    assert rc == 2
+    assert "--rate" in capsys.readouterr().err
     assert not out.exists()
 
 

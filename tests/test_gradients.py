@@ -16,7 +16,7 @@ from rangeseg.layers import (
     Softmax,
 )
 from rangeseg.losses import total_loss
-from rangeseg.model import build_model, micro_config
+from rangeseg.model import ModelConfig, build_model, micro_config
 from rangeseg.pointcloud import ClassWeights
 
 
@@ -161,20 +161,29 @@ def test_composed_model_and_loss_gradients():
                          context=f"{pname}[{idx}]")
 
 
+MODEL_GRADIENT_CONFIGS = {
+    "micro": micro_config(num_classes=3, dropout_rate=0.0),
+    # enc1 keeps its width (identity shortcut) and runs unpooled at the bottleneck
+    "identity-shortcut-unpooled": ModelConfig(
+        num_classes=3, base_channels=8, encoder_channels=(8, 16, 16), num_pool_stages=1, dropout_rate=0.0),
+}
+
+
 def test_model_input_gradient():
-    rng = np.random.default_rng(3)
-    model = build_model(micro_config(num_classes=3, dropout_rate=0.0), seed=2)
-    model.cast(np.float64)
-    x = rng.normal(size=(1, 5, 8, 16))
-    w = rng.normal(size=(1, 3, 8, 16))
+    for name, cfg in MODEL_GRADIENT_CONFIGS.items():
+        rng = np.random.default_rng(3)
+        model = build_model(cfg, seed=2)
+        model.cast(np.float64)
+        x = rng.normal(size=(1, 5, 8, 16))
+        w = rng.normal(size=(1, 3, 8, 16))
 
-    def scalar():
-        return float(np.sum(w * model.forward(x, mode="train", seed=0)))
+        def scalar():
+            return float(np.sum(w * model.forward(x, mode="train", seed=0)))
 
-    model.forward(x, mode="train", seed=0, cache=True)
-    model.zero_grads()
-    gx = model.backward(w)
-    assert gx.shape == x.shape
-    for idx in rng.choice(x.size, size=8, replace=False):
-        fd = central_diff(scalar, x, int(idx), eps=1e-6)
-        assert_close(fd, float(gx.reshape(-1)[idx]), tol=1e-4, context=f"x[{idx}]")
+        model.forward(x, mode="train", seed=0, cache=True)
+        model.zero_grads()
+        gx = model.backward(w)
+        assert gx.shape == x.shape
+        for idx in rng.choice(x.size, size=8, replace=False):
+            fd = central_diff(scalar, x, int(idx), eps=1e-6)
+            assert_close(fd, float(gx.reshape(-1)[idx]), tol=1e-4, context=f"{name} x[{idx}]")

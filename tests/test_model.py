@@ -1,9 +1,11 @@
 """Network assembly: shapes, determinism, accounting, config validation."""
 
+import copy
+
 import numpy as np
 import pytest
 
-from rangeseg.errors import ConfigError, DimensionError
+from rangeseg.errors import ConfigError, DimensionError, StaleStateError
 from rangeseg.layers import Conv2d
 from rangeseg.model import (
     ModelConfig,
@@ -95,6 +97,42 @@ class TestDeterminism:
     def test_train_needs_a_seed_when_dropout_active(self, micro_model):
         with pytest.raises(ValueError):
             micro_model.forward(rand_input((1, 5, 32, 64)), mode="train")
+
+
+class TestBackward:
+    def test_fresh_model_has_no_tape(self):
+        model = build_model(micro_config(num_classes=4), seed=0)
+        with pytest.raises(StaleStateError):
+            model.backward(np.zeros((1, 4, 16, 32), dtype=np.float32))
+
+    def test_uncached_forward_leaves_no_tape(self):
+        model = build_model(micro_config(num_classes=4), seed=0)
+        x = rand_input((1, 5, 16, 32))
+        model.forward(x, mode="train", seed=0, cache=True)
+        y = model.forward(x, mode="train", seed=0)
+        with pytest.raises(StaleStateError):
+            model.backward(np.ones_like(y))
+
+    def test_mc_forward_over_trials_records_no_tape(self):
+        model = build_model(micro_config(num_classes=4), seed=0)
+        x = rand_input((1, 5, 16, 32))
+        model.forward(x, mode="train", seed=0, cache=True)
+        rngs = [np.random.default_rng(s) for s in (1, 2)]
+        y = model.forward(x, mode="mc", rng=rngs, cache=True)
+        with pytest.raises(StaleStateError):
+            model.backward(np.ones_like(y[:1]))
+
+    def test_deep_copy_replays_onto_its_own_layers(self):
+        model = build_model(micro_config(num_classes=4), seed=0)
+        y = model.forward(rand_input((1, 5, 16, 32)), mode="train", seed=0, cache=True)
+        twin = copy.deepcopy(model)
+        model.zero_grads()
+        twin.zero_grads()
+        gx = twin.backward(np.ones_like(y))
+        assert not any(np.any(p.grad) for _, p in model.named_params())
+        np.testing.assert_array_equal(model.backward(np.ones_like(y)), gx)
+        for (_, a), (_, b) in zip(model.named_params(), twin.named_params()):
+            np.testing.assert_array_equal(a.grad, b.grad)
 
 
 class TestAccounting:

@@ -111,6 +111,16 @@ class TestClassMap:
         cmap = ClassMap.from_text("10 1 car\n252 1 moving-car\n40 0 road\n")
         np.testing.assert_array_equal(cmap.unmap(np.array([1, 0, 1])), [10, 40, 10])
 
+    @pytest.mark.parametrize("ids", [[0, 3], [-1], [1]], ids=["past-the-end", "negative", "gap"])
+    def test_unmap_rejects_ids_without_raw_id(self, ids):
+        cmap = ClassMap.from_text("10 0 car\n40 2 road\n")  # training id 1 has no raw id
+        with pytest.raises(ClassMapError):
+            cmap.unmap(np.array(ids))
+
+    def test_negative_training_id_rejected(self):
+        with pytest.raises(ClassMapError):
+            ClassMap.from_text("10 -1 car\n")
+
     def test_shipped_semantic_kitti_map(self):
         import rangeseg
 

@@ -91,6 +91,11 @@ class TestMcDropout:
         with pytest.raises(DimensionError):
             mc_dropout_infer(model, image[None], n=2)
 
+    @pytest.mark.parametrize("rate", [1.0, 1.5, -0.5, float("nan")])
+    def test_rate_outside_unit_interval_rejected(self, model, image, rate):
+        with pytest.raises(ConfigError):
+            mc_dropout_infer(model, image, n=2, rate=rate)
+
     def test_single_trial_has_zero_epistemic(self, model, image):
         out = mc_dropout_infer(model, image, n=1, seed=3)
         assert (out.epistemic == 0.0).all()
