@@ -112,14 +112,9 @@ def pixel_shuffle_adf(layer: PixelShuffle, g: GaussianTensor) -> GaussianTensor:
     return _floored(layer.forward(g.mean), layer.forward(g.variance))
 
 
-def channel_dropout_adf(layer: ChannelDropout, g: GaussianTensor, analysis=False, rate=None) -> GaussianTensor:
-    """Identity in eval; in analysis mode, exact Bernoulli(1-p) noise moments."""
-    p = layer.p if rate is None else rate
-    if not analysis or p == 0.0:
-        return g
-    keep = 1.0 - p
-    var = g.variance / keep + (p / keep) * g.mean**2
-    return _floored(g.mean, var)
+def channel_dropout_adf(layer: ChannelDropout, g: GaussianTensor) -> GaussianTensor:
+    """Identity: ADF runs the network in eval mode, where dropout is off."""
+    return g
 
 
 def softmax_adf(layer: Softmax, g: GaussianTensor) -> GaussianTensor:
@@ -146,10 +141,10 @@ _RULES = {
 }
 
 
-def adf_forward(layer, g: GaussianTensor, **kwargs) -> GaussianTensor:
+def adf_forward(layer, g: GaussianTensor) -> GaussianTensor:
     """Dispatch a layer to its ADF rule."""
     try:
         rule = _RULES[type(layer)]
     except KeyError:
         raise TypeError(f"no ADF rule for {type(layer).__name__}")
-    return rule(layer, g, **kwargs)
+    return rule(layer, g)

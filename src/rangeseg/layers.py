@@ -82,20 +82,21 @@ def _pitched(shape, dtype):
 
 
 class Conv2d(Layer):
-    """Dilated cross-correlation, stride 1, same-padding by default.
+    """Dilated cross-correlation, stride 1, same padding dilation*(k-1)//2.
 
     Effective receptive field per axis is dilation*(k-1)+1. The input gradient
-    is the correlation of gy with the flipped, channel-transposed kernel.
+    is the correlation of gy with the flipped, channel-transposed kernel, at
+    the padding dilation*(k-1) - padding, which is never negative.
     """
 
-    def __init__(self, c_in, c_out, k=3, dilation=1, padding=None, rng=None, dtype=np.float32):
+    def __init__(self, c_in, c_out, k=3, dilation=1, rng=None):
         self.c_in, self.c_out, self.k, self.dilation = c_in, c_out, k, dilation
-        self.padding = dilation * (k - 1) // 2 if padding is None else padding
+        self.padding = dilation * (k - 1) // 2
         rng = rng or np.random.default_rng(0)
         limit = 1.0 / np.sqrt(c_in * k * k)
-        kernel = rng.uniform(-limit, limit, size=(c_out, c_in, k, k)).astype(dtype)
+        kernel = rng.uniform(-limit, limit, size=(c_out, c_in, k, k)).astype(np.float32)
         self.kernel = Param("kernel", kernel, decay=True)
-        self.bias = Param("bias", np.zeros(c_out, dtype=dtype))
+        self.bias = Param("bias", np.zeros(c_out, dtype=np.float32))
         self._cache = None
 
     def params(self):
@@ -111,19 +112,17 @@ class Conv2d(Layer):
     def _columns(self, x, p, c_out, whole=False):
         """Yield (first image, first output row, (m, c*k*k, rows*wo) columns) of x padded by p.
 
-        x is cropped if p < 0. A band has at least the rows that fit
-        COLS_CHUNK_BYTES and the rows whose GEMM with c_out outputs does
-        _BAND_MACS; the rows are shared out evenly, so later bands may be a
-        row shorter. The weight gradient sums over every pixel and asks for
-        whole images: bands would split its GEMM's K.
+        A band has at least the rows that fit COLS_CHUNK_BYTES and the rows
+        whose GEMM with c_out outputs does _BAND_MACS; the rows are shared out
+        evenly, so later bands may be a row shorter. The weight gradient sums
+        over every pixel and asks for whole images: bands would split its
+        GEMM's K.
         """
         n, c, h, w = x.shape
         d, k = self.dilation, self.k
         if k == 1 and not p:
             yield 0, 0, x.reshape(n, c, h * w)
             return
-        if p < 0:
-            x, h, w, p = x[:, :, -p : h + p, -p : w + p], h + 2 * p, w + 2 * p, 0
         ho, wo = h + 2 * p - d * (k - 1), w + 2 * p - d * (k - 1)
         row = c * k * k * wo * x.itemsize  # column bytes of one output row
         nb = min(n, max(1, self.COLS_CHUNK_BYTES // (row * ho)))
@@ -187,12 +186,12 @@ class Conv2d(Layer):
 class BatchNorm2d(Layer):
     """Per-channel normalization with running statistics for eval mode."""
 
-    def __init__(self, c, eps=1e-5, momentum=0.1, dtype=np.float32):
+    def __init__(self, c, eps=1e-5, momentum=0.1):
         self.c, self.eps, self.momentum = c, eps, momentum
-        self.gamma = Param("gamma", np.ones(c, dtype=dtype))
-        self.beta = Param("beta", np.zeros(c, dtype=dtype))
-        self.running_mean = np.zeros(c, dtype=dtype)
-        self.running_var = np.ones(c, dtype=dtype)
+        self.gamma = Param("gamma", np.ones(c, dtype=np.float32))
+        self.beta = Param("beta", np.zeros(c, dtype=np.float32))
+        self.running_mean = np.zeros(c, dtype=np.float32)
+        self.running_var = np.ones(c, dtype=np.float32)
         self._cache = None
 
     def params(self):
@@ -343,22 +342,19 @@ class ChannelDropout(Layer):
         self.p = p
         self._cache = None
 
-    def forward(self, x, active=False, rng=None, rate=None, mask=None, cache=False):
+    def forward(self, x, active=False, rng=None, rate=None, cache=False):
         p = self.p if rate is None else rate
         if not active or p == 0.0:
             self._cache = 1.0 if cache else None
             return x
-        if mask is None:
-            if rng is None:
-                raise ValueError("active dropout needs an rng or an explicit mask")
-            if isinstance(rng, (list, tuple)):
-                draws = np.concatenate([g.random((1, x.shape[1])) for g in rng])
-            else:
-                draws = rng.random((x.shape[0], x.shape[1]))
-            mask = draws >= p
-        scale = (mask.astype(x.dtype) / np.asarray(1.0 - p, dtype=x.dtype))[:, :, None, None]
+        if rng is None:
+            raise ValueError("active dropout needs an rng")
+        if isinstance(rng, (list, tuple)):
+            draws = np.concatenate([g.random((1, x.shape[1])) for g in rng])
+        else:
+            draws = rng.random((x.shape[0], x.shape[1]))
+        scale = ((draws >= p).astype(x.dtype) / np.asarray(1.0 - p, dtype=x.dtype))[:, :, None, None]
         self._cache = scale if cache else None
-        self.last_mask = mask
         return x * scale
 
     def backward(self, gy):

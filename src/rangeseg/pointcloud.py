@@ -219,7 +219,6 @@ class SceneSpec:
     fov_up: float = math.radians(3.0)
     fov_down: float = math.radians(-25.0)
     max_range: float = 80.0
-    angle_jitter: float = 0.0     # radians, uniform per ray
     intensity_noise: float = 0.05
 
     @property
@@ -284,9 +283,6 @@ def generate_synthetic_scene(seed: int, spec: SceneSpec) -> LidarScan:
     v_idx, u_idx = np.meshgrid(np.arange(spec.rows), np.arange(spec.cols), indexing="ij")
     pitch = (1.0 - (v_idx.ravel() + 0.5) / spec.rows) * fov - abs(spec.fov_down)
     yaw = math.pi * (1.0 - 2.0 * (u_idx.ravel() + 0.5) / spec.cols)
-    if spec.angle_jitter > 0:
-        pitch = pitch + rng.uniform(-spec.angle_jitter, spec.angle_jitter, pitch.shape)
-        yaw = yaw + rng.uniform(-spec.angle_jitter, spec.angle_jitter, yaw.shape)
 
     dirs = np.stack(
         [np.cos(pitch) * np.cos(yaw), np.cos(pitch) * np.sin(yaw), np.sin(pitch)], axis=1

@@ -16,7 +16,7 @@ from .layers import BatchNorm2d
 from .losses import total_loss
 from .metrics import ConfusionMatrix
 from .model import Model
-from .pointcloud import AugmentConfig, ClassWeights, augment_scan, compute_class_frequencies
+from .pointcloud import ClassWeights, augment_scan, compute_class_frequencies
 from .postproc import KnnConfig, knn_filter
 from .projection import ProjectionConfig, back_project, build_range_image
 
@@ -125,7 +125,6 @@ def train(
     proj_cfg: ProjectionConfig,
     cfg: TrainConfig,
     weights: ClassWeights | None = None,
-    aug_cfg: AugmentConfig = AugmentConfig(),
     log_path=None,
     progress=None,
 ) -> TrainResult:
@@ -157,7 +156,7 @@ def train(
                 for i in batch:
                     scan = scans[int(i)]
                     if cfg.augment:
-                        scan = augment_scan(scan, int(rng_aug.integers(2**31)), aug_cfg)
+                        scan = augment_scan(scan, int(rng_aug.integers(2**31)))
                     img = build_range_image(scan, proj_cfg)
                     xs.append(img.channels)
                     labs.append(img.label_image(scan.labels, fill=0))

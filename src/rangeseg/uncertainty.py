@@ -53,8 +53,8 @@ class SensorNoiseModel:
             raise ConfigError(f"bad noise value: {exc}")
 
     @classmethod
-    def isotropic(cls, variance: float, channels: int = 5) -> "SensorNoiseModel":
-        return cls(np.full(channels, float(variance)))
+    def isotropic(cls, variance: float) -> "SensorNoiseModel":
+        return cls(np.full(len(CHANNEL_ORDER), float(variance)))
 
 
 @dataclass
@@ -117,9 +117,9 @@ def adf_infer(model: Model, x: np.ndarray, noise: SensorNoiseModel, valid=None) 
     )
 
 
-def default_rate_grid(count: int = 20, low: float = 0.01, high: float = 0.5) -> np.ndarray:
-    """Log-spaced dropout-rate candidates."""
-    return np.geomspace(low, high, count)
+def default_rate_grid() -> np.ndarray:
+    """20 log-spaced dropout-rate candidates from 0.01 to 0.5."""
+    return np.geomspace(0.01, 0.5, 20)
 
 
 def nll_objective(mean_prediction, sigma_tot, targets, valid) -> float:

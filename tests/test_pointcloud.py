@@ -192,7 +192,6 @@ class TestSyntheticScenes:
             ),
             rows=24,
             cols=96,
-            angle_jitter=0.0,
             intensity_noise=0.0,
         )
         scan = generate_synthetic_scene(seed=7, spec=spec)
