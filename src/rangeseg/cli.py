@@ -26,9 +26,10 @@ from .config import (
     model_config_from_dict,
     train_config_from_dict,
 )
-from .errors import InvalidPointError, RangesegError, ScanFormatError
+from .errors import ConfigError, InvalidPointError, RangesegError, ScanFormatError
 from .fileio import write_atomic
 from .imageio import save_grayscale, save_labels
+from .layers import check_rate
 from .metrics import ConfusionMatrix
 from .model import build_model, micro_config
 from .pointcloud import (
@@ -41,7 +42,7 @@ from .pointcloud import (
     write_kitti_labels,
 )
 from .postproc import KnnConfig, knn_filter
-from .projection import ProjectionConfig, back_project, build_range_image
+from .projection import CHANNELS, ProjectionConfig, back_project, build_range_image
 from .train import TrainConfig, evaluate_pointwise, train
 from .uncertainty import (
     SensorNoiseModel,
@@ -158,10 +159,10 @@ def _load_scan(path):
     return _decode_file(path, "scan", read_kitti_scan)
 
 
-def _load_synthetic_dataset(args):
+def _load_synthetic_dataset(args, proj):
     scans = []
     for i in range(args.num_scans):
-        spec = default_scene_spec(args.seed + i, num_classes=args.classes, rows=args.height or 64, cols=args.width or 512)
+        spec = default_scene_spec(args.seed + i, num_classes=args.classes, rows=proj.h, cols=proj.w)
         scans.append(generate_synthetic_scene(seed=10_000 + args.seed + i, spec=spec))
     return scans
 
@@ -186,6 +187,10 @@ def cmd_train(args):
         for flag, given in (("--epochs", args.epochs is not None), ("--no-augment", args.no_augment)):
             if given:
                 raise UsageError(f"{flag} cannot be combined with --train-config; set it in the config file")
+    if args.classmap and not args.data:
+        raise UsageError("--classmap needs --data; synthetic scenes carry training ids")
+    # synthetic scenes are ray-cast on the projection grid, 64x512 unless the flags say otherwise
+    proj = _proj_from_args(args, None if args.data else {"proj.w": 512, "proj.h": 64})
     out_dir = _ensure_dir(args.out_dir)
     class_map = None
     if args.data:
@@ -196,7 +201,7 @@ def cmd_train(args):
         scans = _load_dir_dataset(args.data, class_map)
         num_classes = class_map.num_classes if class_map else int(max(s.labels.max() for s in scans)) + 1
     else:
-        scans = _load_synthetic_dataset(args)
+        scans = _load_synthetic_dataset(args, proj)
         num_classes = args.classes
 
     if args.model_config:
@@ -215,9 +220,6 @@ def cmd_train(args):
         epochs = 30 if args.epochs is None else args.epochs
         train_cfg = TrainConfig(epochs=epochs, batch_size=4, seed=args.seed, augment=not args.no_augment)
 
-    # synthetic scenes are ray-cast on a 64x512 grid; project onto the same
-    proj_defaults = {} if args.data else {"proj.w": 512, "proj.h": 64}
-    proj = _proj_from_args(args, proj_defaults)
     model = build_model(model_cfg, seed=args.seed)
     t0 = time.perf_counter()
     log_path = os.path.join(out_dir, "metrics.jsonl")
@@ -342,6 +344,14 @@ def cmd_eval(args):
     return 0
 
 
+def _flag_rate(rate, flag):
+    """check_rate for a CLI flag: a rate outside [0, 1) is a usage error."""
+    try:
+        return check_rate(rate, flag)
+    except ConfigError as exc:
+        raise UsageError(str(exc)) from None
+
+
 def _parse_rates(text, grid_search):
     """--rates as floats in [0, 1), or the default grid when it is not given."""
     if text is None:
@@ -352,9 +362,7 @@ def _parse_rates(text, grid_search):
         rates = [float(t) for t in text.split(",")]
     except ValueError:
         raise UsageError(f"--rates must be comma-separated numbers, got {text!r}")
-    if not all(0.0 <= r < 1.0 for r in rates):
-        raise UsageError(f"--rates must each lie in [0, 1), got {text!r}")
-    return rates
+    return [_flag_rate(r, "--rates entry") for r in rates]
 
 
 def cmd_uncertainty(args):
@@ -362,13 +370,15 @@ def cmd_uncertainty(args):
         raise UsageError("no scans given")
     if args.mc_trials < 1:
         raise UsageError("--mc-trials must be >= 1")
+    rates = _parse_rates(args.rates, args.grid_search)
     if args.grid_search and not args.gt:
         raise UsageError("--grid-search needs --gt label files for the calibration scans")
+    if args.gt and not args.grid_search:
+        raise UsageError("--gt needs --grid-search: the labels only calibrate the rate search")
     if args.gt and len(args.gt) != len(args.scans):
         raise UsageError("--gt must list one label file per scan")
-    if args.rate is not None and not 0.0 <= args.rate < 1.0:  # NaN fails the test too
-        raise UsageError(f"--rate must lie in [0, 1), got {args.rate}")
-    rates = _parse_rates(args.rates, args.grid_search)
+    if args.rate is not None:
+        _flag_rate(args.rate, "--rate")
     model, _, extras = load_checkpoint(_require_file(args.checkpoint, "checkpoint"))
     proj = _proj_from_args(args, extras)
     noise = None
@@ -419,9 +429,8 @@ def cmd_project(args):
     img = build_range_image(scan, proj)
     proj_ms = (time.perf_counter() - t0) * 1e3
 
-    names = ("x", "y", "z", "intensity", "range")
     outputs = []
-    for i, name in enumerate(names):
+    for i, name in enumerate(CHANNELS):
         outputs.append(save_grayscale(os.path.join(out_dir, f"{name}.png"), img.channels[i]))
     outputs.append(save_grayscale(os.path.join(out_dir, "valid.png"), img.valid.astype(np.float64)))
 
@@ -457,7 +466,7 @@ def build_parser():
     src = p.add_mutually_exclusive_group(required=True)
     src.add_argument("--synthetic", action="store_true", help="generate a synthetic dataset")
     src.add_argument("--data", help="directory of .bin scans with matching .label files")
-    p.add_argument("--classmap", help="raw-to-train id map file")
+    p.add_argument("--classmap", help="raw-to-train id map file; needs --data")
     p.add_argument("--num-scans", type=int, default=20, help="synthetic dataset size")
     p.add_argument("--classes", type=int, default=4, help="synthetic class count")
     p.add_argument("--epochs", type=int, default=None, help="default 30; not with --train-config")
@@ -496,11 +505,12 @@ def build_parser():
     p.add_argument("--out-dir", required=True)
     p.add_argument("--mc-trials", type=int, default=30)
     p.add_argument("--rate", type=float, default=None, help="override the dropout rate")
-    p.add_argument("--noise-config", help="key=value per-channel variances (x,y,z,intensity,range)")
-    p.add_argument("--noise-var", type=float, default=None, help="isotropic input variance")
+    noise = p.add_mutually_exclusive_group()
+    noise.add_argument("--noise-config", help="key=value per-channel variances (x,y,z,intensity,range)")
+    noise.add_argument("--noise-var", type=float, default=None, help="isotropic input variance")
     p.add_argument("--grid-search", action="store_true")
     p.add_argument("--rates", help="comma-separated candidate dropout rates")
-    p.add_argument("--gt", nargs="*", help="label files (calibration for --grid-search)")
+    p.add_argument("--gt", nargs="*", help="label files, one per scan; needs --grid-search")
     p.add_argument("--seed", type=int, default=0)
     _proj_flags(p)
     p.set_defaults(func=cmd_uncertainty)

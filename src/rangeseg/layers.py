@@ -11,7 +11,14 @@ from __future__ import annotations
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import DimensionError, StaleStateError
+from .errors import ConfigError, DimensionError, StaleStateError
+
+
+def check_rate(rate, name="dropout rate"):
+    """rate itself if it lies in [0, 1), else ConfigError; NaN fails the comparison too."""
+    if not 0.0 <= rate < 1.0:
+        raise ConfigError(f"{name} must lie in [0, 1), got {rate}")
+    return rate
 
 
 class Param:
@@ -253,7 +260,7 @@ class BatchNorm2d(Layer):
 class LeakyReLU(Layer):
     def __init__(self, slope=0.01):
         if not 0.0 <= slope <= 1.0:
-            raise ValueError("leaky slope must lie in [0, 1]")
+            raise ConfigError("leaky slope must lie in [0, 1]")
         self.slope = slope
         self._cache = None
 
@@ -337,18 +344,16 @@ class ChannelDropout(Layer):
     """
 
     def __init__(self, p=0.2):
-        if not 0.0 <= p < 1.0:
-            raise ValueError("dropout rate must lie in [0, 1)")
-        self.p = p
+        self.p = check_rate(p)
         self._cache = None
 
     def forward(self, x, active=False, rng=None, rate=None, cache=False):
-        p = self.p if rate is None else rate
+        p = self.p if rate is None else check_rate(rate)
         if not active or p == 0.0:
             self._cache = 1.0 if cache else None
             return x
         if rng is None:
-            raise ValueError("active dropout needs an rng")
+            raise ConfigError("active dropout needs an rng")
         if isinstance(rng, (list, tuple)):
             draws = np.concatenate([g.random((1, x.shape[1])) for g in rng])
         else:

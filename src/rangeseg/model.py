@@ -41,6 +41,7 @@ from .layers import (
     LeakyReLU,
     PixelShuffle,
     Softmax,
+    check_rate,
 )
 
 MODES = ("train", "eval", "mc")
@@ -75,8 +76,7 @@ class ModelConfig:
             raise ConfigError("encoder_channels must be non-decreasing")
         if not 1 <= self.num_pool_stages <= len(enc) - 1:
             raise ConfigError("num_pool_stages must lie in [1, len(encoder_channels) - 1]")
-        if not 0.0 <= self.dropout_rate < 1.0:
-            raise ConfigError("dropout_rate must lie in [0, 1)")
+        check_rate(self.dropout_rate, "dropout_rate")
         if not 0.0 <= self.leaky_slope <= 1.0:
             raise ConfigError("leaky_slope must lie in [0, 1]")
         if not 0.0 < self.bn_eps < np.inf:
@@ -376,6 +376,8 @@ class Model(_Block):
         """
         if mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}")
+        if rate is not None:
+            check_rate(rate)  # here too, for a network with no dropout layer
         trials = isinstance(rng, (list, tuple))
         squeeze = x.ndim == 3 and not trials
         x = self._check_input(np.asarray(x))

@@ -19,14 +19,15 @@ import numpy as np
 
 from .adf import GaussianTensor
 from .errors import ConfigError, DimensionError, InvalidDistributionError, InvalidTrialsError
+from .layers import check_rate
 from .model import Model
+from .projection import CHANNELS
 
 SIGMA_FLOOR = 1e-6
 # Trials per Model.forward in mc_dropout_infer, counting one float64
 # base-width feature map per trial: the widened suffix holds a few such maps
 # per trial, so this bounds the extra peak memory (10 micro trials at 64x512).
 _MC_GROUP_BYTES = 20 << 20
-CHANNEL_ORDER = ("x", "y", "z", "intensity", "range")
 
 
 @dataclass(frozen=True)
@@ -46,7 +47,7 @@ class SensorNoiseModel:
     @classmethod
     def from_dict(cls, d: dict) -> "SensorNoiseModel":
         try:
-            return cls(np.array([float(d[k]) for k in CHANNEL_ORDER]))
+            return cls(np.array([float(d[k]) for k in CHANNELS]))
         except KeyError as exc:
             raise ConfigError(f"noise model missing channel {exc.args[0]!r}")
         except ValueError as exc:
@@ -54,7 +55,7 @@ class SensorNoiseModel:
 
     @classmethod
     def isotropic(cls, variance: float) -> "SensorNoiseModel":
-        return cls(np.full(len(CHANNEL_ORDER), float(variance)))
+        return cls(np.full(len(CHANNELS), float(variance)))
 
 
 @dataclass
@@ -81,8 +82,6 @@ def mc_dropout_infer(model: Model, x: np.ndarray, n: int, seed=0, rate=None) -> 
     """
     if n < 1:
         raise InvalidTrialsError("need at least one trial")
-    if rate is not None and not 0.0 <= rate < 1.0:  # NaN fails the test too
-        raise ConfigError(f"dropout rate must lie in [0, 1), got {rate}")
     x = np.asarray(x)
     if x.ndim != 3:
         raise DimensionError(f"expected one (channels, h, w) image, got {x.shape}")
@@ -146,11 +145,9 @@ def grid_search_dropout_rate(
     model is never retrained; only inference-time dropout changes. Returns
     (best_rate, {rate: objective}); ties go to the smaller rate.
     """
-    rates = [float(r) for r in rates]
+    rates = [check_rate(float(r), "candidate rate") for r in rates]
     if not rates:
         raise ConfigError("need at least one candidate rate")
-    if any(not 0.0 <= r < 1.0 for r in rates):
-        raise ConfigError("candidate rates must lie in [0, 1)")
     calibration = list(calibration)
     if not calibration:
         raise ConfigError("need at least one calibration image")

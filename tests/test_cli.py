@@ -18,6 +18,7 @@ from rangeseg import cli
 from rangeseg.cli import _proj_from_args, build_parser, main
 from rangeseg.imageio import label_palette, normalize_to_u8
 from rangeseg.pointcloud import (
+    ClassMap,
     default_scene_spec,
     generate_synthetic_scene,
     write_kitti_labels,
@@ -222,6 +223,45 @@ def test_train_same_seed_reproduces_checkpoint(tmp_path):
     assert blobs[0] == blobs[1]
 
 
+def write_dataset(root, scans, class_map=None):
+    """A KITTI-format directory: NNNNNN.bin scans beside their .label files."""
+    root.mkdir()
+    for i, scan in enumerate(scans):
+        (root / f"{i:06d}.bin").write_bytes(write_kitti_scan(scan))
+        (root / f"{i:06d}.label").write_bytes(write_kitti_labels(scan.labels, class_map))
+    return str(root)
+
+
+def test_train_data_dir_with_and_without_classmap(ws, tmp_path):
+    # raw ids 10..40 through a class map must train exactly as the training ids 0..3 do
+    (tmp_path / "map.classmap").write_text("10 0 ground\n20 1 box\n30 2 pole\n40 3 wall\n")
+    class_map = ClassMap.load(tmp_path / "map.classmap")
+    common = ["train", "--epochs", "1", "--width", str(W), "--height", str(H)]
+    plain = write_dataset(tmp_path / "plain", ws.scans)
+    raw = write_dataset(tmp_path / "raw", ws.scans, class_map)
+    assert main([*common, "--data", plain, "--out-dir", str(tmp_path / "a")]) == 0
+    assert main([*common, "--data", raw, "--classmap", str(tmp_path / "map.classmap"),
+                 "--out-dir", str(tmp_path / "b")]) == 0
+    assert len(manifest_of(tmp_path / "b")["per_class_iou"]) == 4
+    blobs = [(tmp_path / d / "checkpoint.rseg").read_bytes() for d in "ab"]
+    assert blobs[0] == blobs[1]
+
+
+def test_train_data_dir_without_scans_exits_two(tmp_path, capsys):
+    (tmp_path / "empty").mkdir()
+    rc = main(["train", "--data", str(tmp_path / "empty"), "--out-dir", str(tmp_path / "o")])
+    assert rc == 2
+    assert "no .bin scans" in capsys.readouterr().err
+
+
+def test_train_classmap_without_data_exits_two_before_any_work(tmp_path, capsys):
+    out = tmp_path / "o"
+    rc = main(["train", "--synthetic", "--classmap", "any.classmap", "--out-dir", str(out)])
+    assert rc == 2
+    assert "--classmap" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------- infer
 
 
@@ -416,8 +456,41 @@ def test_uncertainty_grid_search_needs_gt(ws, tmp_path):
 def test_uncertainty_gt_count_mismatch_exits_two(ws, tmp_path):
     gt = str(ws.gt_dir / "scan000.label")
     rc = main(["uncertainty", *ws.scan_paths, "--checkpoint", ws.ckpt,
-               "--gt", gt, "--out-dir", str(tmp_path)])
+               "--grid-search", "--gt", gt, "--out-dir", str(tmp_path)])
     assert rc == 2
+
+
+def test_uncertainty_gt_without_grid_search_exits_two_before_any_work(ws, tmp_path, capsys, monkeypatch):
+    def no_load(*_):
+        raise AssertionError("checkpoint loaded")
+
+    monkeypatch.setattr(cli, "load_checkpoint", no_load)
+    out = tmp_path / "unc"
+    rc = main(["uncertainty", ws.scan_paths[0], "--checkpoint", ws.ckpt,
+               "--gt", str(ws.gt_dir / "scan000.label"), "--out-dir", str(out)])
+    assert rc == 2
+    assert "--gt" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_uncertainty_noise_var_and_noise_config_exclusive(ws, tmp_path, capsys):
+    (tmp_path / "noise.cfg").write_text("x=1\ny=1\nz=1\nintensity=1\nrange=1\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["uncertainty", ws.scan_paths[0], "--checkpoint", ws.ckpt, "--noise-var", "1e-3",
+              "--noise-config", str(tmp_path / "noise.cfg"), "--out-dir", str(tmp_path / "unc")])
+    assert exc.value.code == 2
+    assert "not allowed with" in capsys.readouterr().err
+    assert not (tmp_path / "unc").exists()
+
+
+def test_uncertainty_noise_config_matches_equal_noise_var(ws, tmp_path):
+    (tmp_path / "noise.cfg").write_text("x=1e-3\ny=1e-3\nz=1e-3\nintensity=1e-3\nrange=1e-3\n")
+    common = ["uncertainty", ws.scan_paths[0], "--checkpoint", ws.ckpt, "--mc-trials", "1"]
+    assert main([*common, "--noise-config", str(tmp_path / "noise.cfg"), "--out-dir", str(tmp_path / "a")]) == 0
+    assert main([*common, "--noise-var", "1e-3", "--out-dir", str(tmp_path / "b")]) == 0
+    a, b = (np.load(tmp_path / d / "scan000_aleatoric.npy") for d in "ab")
+    assert (a > 0).all()
+    np.testing.assert_array_equal(a, b)
 
 
 # ---------------------------------------------------------------- project

@@ -7,7 +7,7 @@ import pytest
 
 from rangeseg import layers
 from rangeseg.adf import GaussianTensor, conv2d_adf
-from rangeseg.errors import DimensionError, StaleStateError
+from rangeseg.errors import ConfigError, DimensionError, StaleStateError
 from rangeseg.model import build_model, micro_config
 from rangeseg.layers import (
     AvgPool2x2,
@@ -282,9 +282,9 @@ class TestLeakyReLU:
         np.testing.assert_allclose(y, [[-0.02, 0.0, 3.0]])
 
     def test_slope_validated(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             LeakyReLU(-0.5)
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             LeakyReLU(1.5)
 
     @pytest.mark.parametrize("slope", [0.0, 0.01, 0.5, 1.0])
@@ -394,14 +394,19 @@ class TestChannelDropout:
         np.testing.assert_allclose(y[0, :, 0, 0], np.where(keep[0], 2.0, 0.0))
 
     def test_active_without_rng_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             ChannelDropout(0.5).forward(np.ones((1, 2, 1, 1)), active=True)
 
     def test_rate_validated(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             ChannelDropout(1.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             ChannelDropout(-0.1)
+
+    @pytest.mark.parametrize("rate", [1.0, 1.5, -0.5, float("nan")])
+    def test_rate_override_validated(self, rate):
+        with pytest.raises(ConfigError):
+            ChannelDropout(0.2).forward(np.ones((1, 2, 1, 1)), active=True, rng=np.random.default_rng(0), rate=rate)
 
     def test_mean_preserved_in_expectation(self):
         rng = np.random.default_rng(11)

@@ -95,8 +95,20 @@ class TestDeterminism:
                    for n, b in model.named_buffers())
 
     def test_train_needs_a_seed_when_dropout_active(self, micro_model):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             micro_model.forward(rand_input((1, 5, 32, 64)), mode="train")
+
+    @pytest.mark.parametrize("rate", [1.0, 1.5, -0.5, float("nan")])
+    def test_rate_outside_unit_interval_rejected(self, micro_model, rate):
+        with pytest.raises(ConfigError):
+            micro_model.forward(rand_input((1, 5, 32, 64)), mode="mc", seed=0, rate=rate)
+
+    def test_rate_rejected_without_dropout_layers(self):
+        model = build_model(ModelConfig(num_classes=3, base_channels=8, encoder_channels=(8, 16),
+                                        num_pool_stages=1), seed=0)
+        assert not any(has for _, has in model.dropout_placement())
+        with pytest.raises(ConfigError):
+            model.forward(rand_input((1, 5, 16, 32)), mode="mc", seed=0, rate=1.5)
 
 
 class TestBackward:

@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from rangeseg.errors import ConfigError, DimensionError, EmptyBatchError
+from rangeseg.errors import ConfigError, DimensionError, EmptyBatchError, TrainingDivergedError
 from rangeseg.layers import Param
 from rangeseg.model import build_model, micro_config
 from rangeseg.pointcloud import ClassWeights, default_scene_spec, generate_synthetic_scene
@@ -179,6 +179,21 @@ class TestTrainingLoop:
         cfg = TrainConfig(epochs=0, batch_size=2, seed=0)
         result = train(model, scans(1), PROJ, cfg, weights=w)
         assert result.weights is w
+
+    # lr0 = 1e300 overflows float32: the first step leaves every parameter inf or NaN
+    def test_diverged_parameters_raise_at_epoch_end(self):
+        # one batch per epoch, so no loss is computed from the overflowed parameters
+        model = build_model(micro_config(num_classes=4), seed=0)
+        cfg = TrainConfig(epochs=1, batch_size=2, lr0=1e300, seed=0, augment=False)
+        with np.errstate(all="ignore"), pytest.raises(TrainingDivergedError, match="parameter after epoch 0"):
+            train(model, scans(2), PROJ, cfg)
+
+    def test_diverged_loss_raises(self):
+        # the second batch runs forward on the overflowed parameters
+        model = build_model(micro_config(num_classes=4), seed=0)
+        cfg = TrainConfig(epochs=1, batch_size=1, lr0=1e300, seed=0, augment=False)
+        with np.errstate(all="ignore"), pytest.raises(TrainingDivergedError, match="loss at epoch 0"):
+            train(model, scans(2), PROJ, cfg)
 
 
 def reestimate_by_forwards(model, scan_list, passes):
