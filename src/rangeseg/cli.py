@@ -155,19 +155,26 @@ def _decode_file(path, what, decode, *args):
             raise type(exc)(f"{path}: {exc}") from exc
 
 
+def _check_class_ids(labels, num_classes, path):
+    """A class id outside [0, num_classes) is a usage error naming its file."""
+    bad = (labels < 0) | (labels >= num_classes)
+    if bad.any():
+        raise UsageError(f"{path}: class id {labels[bad][0]} outside [0, {num_classes})")
+
+
 def _load_scan(path):
     return _decode_file(path, "scan", read_kitti_scan)
 
 
 def _load_synthetic_dataset(args, proj):
     scans = []
-    for i in range(args.num_scans):
+    for i in range(20 if args.num_scans is None else args.num_scans):
         spec = default_scene_spec(args.seed + i, num_classes=args.classes, rows=proj.h, cols=proj.w)
         scans.append(generate_synthetic_scene(seed=10_000 + args.seed + i, spec=spec))
     return scans
 
 
-def _load_dir_dataset(data_dir, class_map):
+def _load_dir_dataset(data_dir, class_map, num_classes):
     bins = sorted(f for f in os.listdir(data_dir) if f.endswith(".bin"))
     if not bins:
         raise UsageError(f"no .bin scans under {data_dir}")
@@ -176,6 +183,7 @@ def _load_dir_dataset(data_dir, class_map):
         scan = _load_scan(os.path.join(data_dir, name))
         label_path = os.path.join(data_dir, _stem(name) + ".label")
         scans.append(_decode_file(label_path, "label file", read_kitti_labels, scan, class_map))
+        _check_class_ids(scans[-1].labels, num_classes, label_path)
     return scans
 
 
@@ -189,29 +197,29 @@ def cmd_train(args):
                 raise UsageError(f"{flag} cannot be combined with --train-config; set it in the config file")
     if args.classmap and not args.data:
         raise UsageError("--classmap needs --data; synthetic scenes carry training ids")
+    if args.num_scans is not None and args.data:
+        raise UsageError("--num-scans sizes a synthetic dataset; --data trains on every scan it holds")
     # synthetic scenes are ray-cast on the projection grid, 64x512 unless the flags say otherwise
     proj = _proj_from_args(args, None if args.data else {"proj.w": 512, "proj.h": 64})
     out_dir = _ensure_dir(args.out_dir)
     class_map = None
+    num_classes = args.classes
     if args.data:
         if not os.path.isdir(args.data):
             raise UsageError(f"dataset directory not found: {args.data}")
         if args.classmap:
             class_map = ClassMap.load(_require_file(args.classmap, "class map"))
-        scans = _load_dir_dataset(args.data, class_map)
-        num_classes = class_map.num_classes if class_map else int(max(s.labels.max() for s in scans)) + 1
+            num_classes = class_map.num_classes
+        scans = _load_dir_dataset(args.data, class_map, num_classes)
     else:
         scans = _load_synthetic_dataset(args, proj)
-        num_classes = args.classes
 
     if args.model_config:
         model_cfg = model_config_from_dict(load_kv_file(_require_file(args.model_config, "model config")))
     else:
         model_cfg = micro_config(num_classes=num_classes)
-    if model_cfg.num_classes != num_classes and args.data is None:
-        raise UsageError(
-            f"model config has {model_cfg.num_classes} classes, synthetic data has {num_classes}"
-        )
+    if model_cfg.num_classes != num_classes:
+        raise UsageError(f"model config has {model_cfg.num_classes} classes, the data has {num_classes}")
     if args.train_config:
         kv = load_kv_file(_require_file(args.train_config, "train config"))
         kv.setdefault("seed", str(args.seed))
@@ -352,12 +360,12 @@ def _flag_rate(rate, flag):
         raise UsageError(str(exc)) from None
 
 
-def _parse_rates(text, grid_search):
+def _parse_rates(text, search):
     """--rates as floats in [0, 1), or the default grid when it is not given."""
     if text is None:
         return default_rate_grid()
-    if not grid_search:
-        raise UsageError("--rates needs --grid-search")
+    if not search:
+        raise UsageError("--rates needs --gt: the labels calibrate the rate search")
     try:
         rates = [float(t) for t in text.split(",")]
     except ValueError:
@@ -370,22 +378,23 @@ def cmd_uncertainty(args):
         raise UsageError("no scans given")
     if args.mc_trials < 1:
         raise UsageError("--mc-trials must be >= 1")
-    rates = _parse_rates(args.rates, args.grid_search)
-    if args.grid_search and not args.gt:
-        raise UsageError("--grid-search needs --gt label files for the calibration scans")
-    if args.gt and not args.grid_search:
-        raise UsageError("--gt needs --grid-search: the labels only calibrate the rate search")
-    if args.gt and len(args.gt) != len(args.scans):
+    search = args.gt is not None
+    rates = _parse_rates(args.rates, search)
+    if search and len(args.gt) != len(args.scans):
         raise UsageError("--gt must list one label file per scan")
     if args.rate is not None:
         _flag_rate(args.rate, "--rate")
     model, _, extras = load_checkpoint(_require_file(args.checkpoint, "checkpoint"))
     proj = _proj_from_args(args, extras)
+    for path in args.gt or ():
+        _check_class_ids(_decode_file(path, "label file", decode_kitti_labels), model.cfg.num_classes, path)
     noise = None
     if args.noise_config:
         noise = SensorNoiseModel.from_dict(load_kv_file(_require_file(args.noise_config, "noise config")))
     elif args.noise_var is not None:
         noise = SensorNoiseModel.isotropic(args.noise_var)
+    # the search needs each scan's ADF map even without noise: at 0 it is rounding residue, not 0
+    adf_noise = SensorNoiseModel.isotropic(0.0) if noise is None and search else noise
     out_dir = _ensure_dir(args.out_dir)
 
     outputs = []
@@ -397,20 +406,19 @@ def cmd_uncertainty(args):
         mc = mc_dropout_infer(model, img.channels, args.mc_trials, seed=args.seed, rate=args.rate)
         _write_npy(os.path.join(out_dir, f"{stem}_epistemic.npy"), mc.epistemic)
         outputs.append(save_grayscale(os.path.join(out_dir, f"{stem}_epistemic.png"), mc.epistemic))
+        if adf_noise is not None:
+            aleatoric = adf_infer(model, img.channels, adf_noise, img.valid).aleatoric
         if noise is not None:
-            adf = adf_infer(model, img.channels, noise, img.valid)
-            _write_npy(os.path.join(out_dir, f"{stem}_aleatoric.npy"), adf.aleatoric)
-            outputs.append(save_grayscale(os.path.join(out_dir, f"{stem}_aleatoric.png"), adf.aleatoric))
-        if args.gt:
+            _write_npy(os.path.join(out_dir, f"{stem}_aleatoric.npy"), aleatoric)
+            outputs.append(save_grayscale(os.path.join(out_dir, f"{stem}_aleatoric.png"), aleatoric))
+        if search:
             labeled = _decode_file(args.gt[i], "label file", read_kitti_labels, scan)
-            calibration.append((img.channels, img.label_image(labeled.labels, fill=0), img.valid))
+            calibration.append((img.channels, img.label_image(labeled.labels, fill=0), img.valid, aleatoric))
 
     result = {"outputs": outputs, "mc_trials": args.mc_trials}
-    if args.grid_search:
-        if noise is None:
-            noise = SensorNoiseModel.isotropic(0.0)
+    if search:
         best, objectives = grid_search_dropout_rate(
-            model, calibration, rates, noise, n_trials=args.mc_trials, seed=args.seed
+            model, calibration, rates, n_trials=args.mc_trials, seed=args.seed
         )
         result["selected_rate"] = best
         result["objectives"] = {f"{r:.6g}": o for r, o in sorted(objectives.items())}
@@ -467,8 +475,8 @@ def build_parser():
     src.add_argument("--synthetic", action="store_true", help="generate a synthetic dataset")
     src.add_argument("--data", help="directory of .bin scans with matching .label files")
     p.add_argument("--classmap", help="raw-to-train id map file; needs --data")
-    p.add_argument("--num-scans", type=int, default=20, help="synthetic dataset size")
-    p.add_argument("--classes", type=int, default=4, help="synthetic class count")
+    p.add_argument("--num-scans", type=int, default=None, help="synthetic dataset size, default 20")
+    p.add_argument("--classes", type=int, default=4, help="class count, unless --classmap sets it")
     p.add_argument("--epochs", type=int, default=None, help="default 30; not with --train-config")
     p.add_argument("--model-config", help="key=value model config file")
     p.add_argument("--train-config", help="key=value train config file")
@@ -508,9 +516,8 @@ def build_parser():
     noise = p.add_mutually_exclusive_group()
     noise.add_argument("--noise-config", help="key=value per-channel variances (x,y,z,intensity,range)")
     noise.add_argument("--noise-var", type=float, default=None, help="isotropic input variance")
-    p.add_argument("--grid-search", action="store_true")
-    p.add_argument("--rates", help="comma-separated candidate dropout rates")
-    p.add_argument("--gt", nargs="*", help="label files, one per scan; needs --grid-search")
+    p.add_argument("--rates", help="comma-separated candidate dropout rates; needs --gt")
+    p.add_argument("--gt", nargs="*", help="label files, one per scan; runs the dropout-rate search")
     p.add_argument("--seed", type=int, default=0)
     _proj_flags(p)
     p.set_defaults(func=cmd_uncertainty)

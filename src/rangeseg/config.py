@@ -28,8 +28,11 @@ def parse_kv_text(text: str) -> dict:
 
 
 def load_kv_file(path) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_kv_text(fh.read())
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return parse_kv_text(fh.read())
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
 
 
 def format_kv(d: dict) -> str:

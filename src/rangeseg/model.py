@@ -388,6 +388,11 @@ class Model(_Block):
                 raise DimensionError(f"a sequence of generators takes one image, got a batch of {len(x)}")
         elif rng is None and seed is not None:
             rng = np.random.default_rng(seed)
+        elif rng is None and mode != "eval" and any(
+            (layer.p if rate is None else rate) > 0
+            for _, layer in self.named_layers() if isinstance(layer, ChannelDropout)
+        ):
+            raise ConfigError("active dropout needs an rng or a seed")  # before any BN buffer moves
         rs = _RunState(mode == "train", mode in ("train", "mc"), rng, rate, cache,
                        record=x if cache and not trials else None)
         self._tape = None

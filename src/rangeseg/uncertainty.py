@@ -63,10 +63,6 @@ class UncertaintyMap:
     mean_prediction: np.ndarray       # (C, h, w) probabilities
     epistemic: np.ndarray             # (h, w), >= 0
     aleatoric: np.ndarray             # (h, w), >= 0
-    n_trials: int = 0
-
-    def total(self) -> np.ndarray:
-        return np.maximum(self.epistemic + self.aleatoric, SIGMA_FLOOR)
 
 
 def _zeros_like_map(probs):
@@ -92,9 +88,7 @@ def mc_dropout_infer(model: Model, x: np.ndarray, n: int, seed=0, rate=None) -> 
         trials[i : i + group] = model.forward(x, mode="mc", rng=rngs[i : i + group], rate=rate)
     mean = trials.mean(axis=0)
     epistemic = trials.var(axis=0).sum(axis=0)  # population variance, class-summed
-    return UncertaintyMap(
-        mean_prediction=mean, epistemic=epistemic, aleatoric=_zeros_like_map(mean), n_trials=n
-    )
+    return UncertaintyMap(mean_prediction=mean, epistemic=epistemic, aleatoric=_zeros_like_map(mean))
 
 
 def adf_infer(model: Model, x: np.ndarray, noise: SensorNoiseModel, valid=None) -> UncertaintyMap:
@@ -112,7 +106,6 @@ def adf_infer(model: Model, x: np.ndarray, noise: SensorNoiseModel, valid=None) 
         mean_prediction=out.mean[0],
         epistemic=_zeros_like_map(out.mean[0]),
         aleatoric=out.variance[0].sum(axis=0),
-        n_trials=0,
     )
 
 
@@ -131,19 +124,13 @@ def nll_objective(mean_prediction, sigma_tot, targets, valid) -> float:
     return float(per_pixel[np.asarray(valid, dtype=bool)].sum())
 
 
-def grid_search_dropout_rate(
-    model: Model,
-    calibration,
-    rates,
-    noise: SensorNoiseModel,
-    n_trials: int = 30,
-    seed: int = 0,
-):
+def grid_search_dropout_rate(model: Model, calibration, rates, n_trials: int = 30, seed: int = 0):
     """Pick the dropout rate minimizing the NLL objective on labeled data.
 
-    calibration: iterable of (x, targets, valid) range-image triples. The
-    model is never retrained; only inference-time dropout changes. Returns
-    (best_rate, {rate: objective}); ties go to the smaller rate.
+    calibration: iterable of (x, targets, valid, aleatoric) items, one per
+    range image; aleatoric is the image's rate-independent ADF map (h, w).
+    The model is never retrained; only inference-time dropout changes.
+    Returns (best_rate, {rate: objective}); ties go to the smaller rate.
     """
     rates = [check_rate(float(r), "candidate rate") for r in rates]
     if not rates:
@@ -152,14 +139,12 @@ def grid_search_dropout_rate(
     if not calibration:
         raise ConfigError("need at least one calibration image")
 
-    adf_parts = [adf_infer(model, x, noise, valid) for x, _, valid in calibration]
     objectives = {}
     for rate in sorted(rates):
         total = 0.0
-        for (x, targets, valid), adf_part in zip(calibration, adf_parts):
+        for x, targets, valid, aleatoric in calibration:
             mc = mc_dropout_infer(model, x, n_trials, seed=seed, rate=rate)
-            sigma = mc.epistemic + adf_part.aleatoric
-            total += nll_objective(mc.mean_prediction, sigma, targets, valid)
+            total += nll_objective(mc.mean_prediction, mc.epistemic + aleatoric, targets, valid)
         objectives[rate] = total
     best = min(objectives, key=lambda r: (objectives[r], r))
     return best, objectives

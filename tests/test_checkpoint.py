@@ -11,6 +11,7 @@ from rangeseg.checkpoint import MAGIC, VERSION, _pack_tensor, load_checkpoint, s
 from rangeseg.config import (
     ConfigError,
     format_kv,
+    load_kv_file,
     model_config_from_dict,
     model_config_to_dict,
     parse_kv_text,
@@ -182,6 +183,13 @@ class TestConfigBlock:
     def test_malformed_line_rejected(self):
         with pytest.raises(ConfigError):
             parse_kv_text("just words\n")
+
+    def test_non_utf8_file_rejected_naming_it(self, tmp_path):
+        path = tmp_path / "model.cfg"
+        path.write_bytes(b"num_classes=4\n\xff\n")
+        with pytest.raises(ConfigError) as exc:
+            load_kv_file(path)
+        assert str(path) in str(exc.value)
 
     def test_model_config_round_trip(self):
         cfg = ModelConfig(num_classes=11, dropout_rate=0.35,

@@ -25,6 +25,7 @@ from rangeseg.pointcloud import (
     write_kitti_scan,
 )
 from rangeseg.projection import ProjectionConfig
+from rangeseg.uncertainty import adf_infer
 
 W, H = 64, 32
 
@@ -262,6 +263,45 @@ def test_train_classmap_without_data_exits_two_before_any_work(tmp_path, capsys)
     assert not out.exists()
 
 
+def test_train_data_dir_without_classmap_sized_by_classes(ws, tmp_path, capsys):
+    # raw ids 10..40 are not training ids: --classes 4 sizes the head, and they fall outside it
+    class_map = ClassMap.from_text("10 0 ground\n20 1 box\n30 2 pole\n40 3 wall\n")
+    raw = write_dataset(tmp_path / "raw", ws.scans, class_map)
+    common = ["train", "--epochs", "1", "--width", str(W), "--height", str(H), "--data"]
+    assert main([*common, raw, "--classes", "4", "--out-dir", str(tmp_path / "o")]) == 2
+    assert os.path.join(raw, "000000.label") in capsys.readouterr().err
+    assert not (tmp_path / "o" / "checkpoint.rseg").exists()
+    plain = write_dataset(tmp_path / "plain", ws.scans)
+    assert main([*common, plain, "--classes", "5", "--out-dir", str(tmp_path / "five")]) == 0
+    assert len(manifest_of(tmp_path / "five")["per_class_iou"]) == 5
+
+
+def test_train_data_dir_rejects_num_scans_and_class_count_mismatch(ws, tmp_path, capsys):
+    plain = write_dataset(tmp_path / "plain", ws.scans)
+    cfg = tmp_path / "model.cfg"
+    cfg.write_text("num_classes=3\n")
+    common = ["train", "--epochs", "1", "--width", str(W), "--height", str(H), "--data", plain]
+    assert main([*common, "--num-scans", "3", "--out-dir", str(tmp_path / "a")]) == 2
+    assert "--num-scans" in capsys.readouterr().err
+    assert not (tmp_path / "a").exists()
+    assert main([*common, "--model-config", str(cfg), "--out-dir", str(tmp_path / "b")]) == 2
+    assert "3 classes" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, error", [("train", "ConfigError"), ("eval", "ClassMapError")])
+def test_non_utf8_text_input_exits_one_naming_the_file(ws, tmp_path, capsys, command, error):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"num_classes=4\n\xff\xfe\n")
+    if command == "train":
+        argv = ["train", "--synthetic", "--num-scans", "1", "--model-config", str(bad),
+                "--out-dir", str(tmp_path / "o")]
+    else:
+        argv = ["eval", "--pred", str(ws.gt_dir), "--gt", str(ws.gt_dir), "--classmap", str(bad)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert error in err and str(bad) in err and "Traceback" not in err
+
+
 # ---------------------------------------------------------------- infer
 
 
@@ -410,7 +450,7 @@ def test_uncertainty_grid_search_selects_rate(ws, tmp_path, capsys):
     out = tmp_path / "unc"
     gt = str(ws.gt_dir / "scan000.label")
     rc = main(["uncertainty", ws.scan_paths[0], "--checkpoint", ws.ckpt,
-               "--mc-trials", "2", "--grid-search", "--rates", "0.05,0.3",
+               "--mc-trials", "2", "--rates", "0.05,0.3",
                "--gt", gt, "--out-dir", str(out)])
     assert rc == 0
     assert "selected_rate=" in capsys.readouterr().out
@@ -419,15 +459,14 @@ def test_uncertainty_grid_search_selects_rate(ws, tmp_path, capsys):
     assert set(m["objectives"]) == {"0.05", "0.3"}
 
 
-@pytest.mark.parametrize("rates, grid", [
+@pytest.mark.parametrize("rates, with_gt", [
     ("abc", True), ("0.1,1.5", True), ("0.1,,0.3", True), ("nan", True), ("0.1,0.3", False),
-], ids=["not-a-number", "out-of-range", "empty-entry", "nan", "without-grid-search"])
-def test_uncertainty_bad_rates_exit_two_before_any_work(ws, tmp_path, capsys, rates, grid):
+], ids=["not-a-number", "out-of-range", "empty-entry", "nan", "without-gt"])
+def test_uncertainty_bad_rates_exit_two_before_any_work(ws, tmp_path, capsys, rates, with_gt):
     out = tmp_path / "unc"
-    gt = str(ws.gt_dir / "scan000.label")
+    gt = ["--gt", str(ws.gt_dir / "scan000.label")] if with_gt else []
     rc = main(["uncertainty", ws.scan_paths[0], "--checkpoint", ws.ckpt,
-               "--mc-trials", "2", *(["--grid-search"] if grid else []), "--rates", rates,
-               "--gt", gt, "--out-dir", str(out)])
+               "--mc-trials", "2", "--rates", rates, *gt, "--out-dir", str(out)])
     assert rc == 2
     assert "--rates" in capsys.readouterr().err
     assert not out.exists()
@@ -447,30 +486,48 @@ def test_uncertainty_bad_rate_exits_two_before_any_work(ws, tmp_path, capsys, mo
     assert not out.exists()
 
 
-def test_uncertainty_grid_search_needs_gt(ws, tmp_path):
-    rc = main(["uncertainty", ws.scan_paths[0], "--checkpoint", ws.ckpt,
-               "--grid-search", "--out-dir", str(tmp_path)])
-    assert rc == 2
-
-
 def test_uncertainty_gt_count_mismatch_exits_two(ws, tmp_path):
     gt = str(ws.gt_dir / "scan000.label")
     rc = main(["uncertainty", *ws.scan_paths, "--checkpoint", ws.ckpt,
-               "--grid-search", "--gt", gt, "--out-dir", str(tmp_path)])
+               "--gt", gt, "--out-dir", str(tmp_path)])
     assert rc == 2
 
 
-def test_uncertainty_gt_without_grid_search_exits_two_before_any_work(ws, tmp_path, capsys, monkeypatch):
-    def no_load(*_):
-        raise AssertionError("checkpoint loaded")
+@pytest.mark.parametrize("noise", [["--noise-var", "1e-3"], []], ids=["noise-var", "no-noise"])
+def test_uncertainty_gt_runs_one_adf_pass_per_scan(ws, tmp_path, monkeypatch, noise):
+    # the rate search reuses the per-scan ADF map; without a noise flag it is
+    # the zero-noise pass, and no aleatoric file is written
+    seen = []
 
-    monkeypatch.setattr(cli, "load_checkpoint", no_load)
+    def counting_adf(model, x, noise_model, valid=None):
+        seen.append(noise_model.variances.copy())
+        return adf_infer(model, x, noise_model, valid)
+
+    monkeypatch.setattr(cli, "adf_infer", counting_adf)
     out = tmp_path / "unc"
-    rc = main(["uncertainty", ws.scan_paths[0], "--checkpoint", ws.ckpt,
-               "--gt", str(ws.gt_dir / "scan000.label"), "--out-dir", str(out)])
+    gts = [str(ws.gt_dir / f"scan{i:03d}.label") for i in range(2)]
+    rc = main(["uncertainty", *ws.scan_paths, "--checkpoint", ws.ckpt, "--mc-trials", "2",
+               *noise, "--rates", "0.05,0.3", "--gt", *gts, "--out-dir", str(out)])
+    assert rc == 0
+    assert len(seen) == len(ws.scan_paths)
+    expected = float(noise[1]) if noise else 0.0
+    assert all((v == expected).all() for v in seen)
+    assert (out / "scan000_aleatoric.npy").is_file() == bool(noise)
+    assert set(manifest_of(out)["objectives"]) == {"0.05", "0.3"}
+
+
+def test_uncertainty_gt_class_id_out_of_range_exits_two_before_mc(ws, tmp_path, capsys, monkeypatch):
+    def no_mc(*_, **__):
+        raise AssertionError("MC pass ran")
+
+    monkeypatch.setattr(cli, "mc_dropout_infer", no_mc)
+    bad = tmp_path / "bad.label"
+    bad.write_bytes(write_kitti_labels(np.full(len(ws.scans[1]), 7)))
+    rc = main(["uncertainty", *ws.scan_paths, "--checkpoint", ws.ckpt, "--mc-trials", "2",
+               "--gt", str(ws.gt_dir / "scan000.label"), str(bad), "--out-dir", str(tmp_path / "unc")])
     assert rc == 2
-    assert "--gt" in capsys.readouterr().err
-    assert not out.exists()
+    err = capsys.readouterr().err
+    assert str(bad) in err and "7" in err
 
 
 def test_uncertainty_noise_var_and_noise_config_exclusive(ws, tmp_path, capsys):

@@ -98,6 +98,16 @@ class TestDeterminism:
         with pytest.raises(ConfigError):
             micro_model.forward(rand_input((1, 5, 32, 64)), mode="train")
 
+    def test_missing_generator_raises_before_any_buffer_moves(self):
+        model = build_model(micro_config(num_classes=4), seed=0)
+        before = {n: b.copy() for n, b in model.named_buffers()}
+        for mode in ("train", "mc"):
+            with pytest.raises(ConfigError):
+                model.forward(rand_input((1, 5, 32, 64)), mode=mode)
+        for n, b in model.named_buffers():
+            np.testing.assert_array_equal(b, before[n])
+        model.forward(rand_input((1, 5, 32, 64)), mode="train", rate=0.0)  # rate 0 draws nothing
+
     @pytest.mark.parametrize("rate", [1.0, 1.5, -0.5, float("nan")])
     def test_rate_outside_unit_interval_rejected(self, micro_model, rate):
         with pytest.raises(ConfigError):

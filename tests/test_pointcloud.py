@@ -121,6 +121,13 @@ class TestClassMap:
         with pytest.raises(ClassMapError):
             ClassMap.from_text("10 -1 car\n")
 
+    def test_non_utf8_file_rejected_naming_it(self, tmp_path):
+        path = tmp_path / "bad.classmap"
+        path.write_bytes(b"10 0 car\n40 1 r\xf6ad\n")
+        with pytest.raises(ClassMapError) as exc:
+            ClassMap.load(path)
+        assert str(path) in str(exc.value)
+
     def test_shipped_semantic_kitti_map(self):
         import rangeseg
 

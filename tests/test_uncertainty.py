@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 import rangeseg.uncertainty as uncertainty
-from rangeseg.adf import GaussianTensor
 from rangeseg.errors import (
     ConfigError,
     DimensionError,
@@ -17,7 +16,6 @@ from rangeseg.layers import Conv2d
 from rangeseg.model import ModelConfig, build_model, micro_config
 from rangeseg.uncertainty import (
     SensorNoiseModel,
-    UncertaintyMap,
     adf_infer,
     default_rate_grid,
     grid_search_dropout_rate,
@@ -53,10 +51,6 @@ class FlipFlopModel:
         out = self.maps[self.calls % len(self.maps)]
         self.calls += 1
         return out
-
-    def adf(self, g: GaussianTensor) -> GaussianTensor:
-        mean = np.repeat(self.maps[0][None], g.mean.shape[0], axis=0)
-        return GaussianTensor(mean, np.full_like(mean, 0.01))
 
 
 class TestSensorNoiseModel:
@@ -99,7 +93,6 @@ class TestMcDropout:
     def test_single_trial_has_zero_epistemic(self, model, image):
         out = mc_dropout_infer(model, image, n=1, seed=3)
         assert (out.epistemic == 0.0).all()
-        assert out.n_trials == 1
 
     def test_zero_rate_has_zero_epistemic(self, image):
         quiet = build_model(micro_config(num_classes=4, dropout_rate=0.0), seed=0)
@@ -295,32 +288,29 @@ class TestObjectiveAndGrid:
 
 
 class TestGridSearch:
-    def calibration(self, rng, shape=(16, 32)):
+    def calibration(self, model, rng, shape=(16, 32)):
         x = rng.normal(size=(5,) + shape).astype(np.float32)
         targets = rng.integers(0, 4, size=shape)
         valid = np.ones(shape, dtype=bool)
-        return [(x, targets, valid)]
+        aleatoric = adf_infer(model, x, SensorNoiseModel.isotropic(0.01), valid).aleatoric
+        return [(x, targets, valid, aleatoric)]
 
     def test_empty_grid_rejected(self, model):
         with pytest.raises(ConfigError):
-            grid_search_dropout_rate(model, [], [], SensorNoiseModel.isotropic(0.1))
+            grid_search_dropout_rate(model, [], [])
 
     def test_out_of_range_rate_rejected(self, model):
         rng = np.random.default_rng(0)
         with pytest.raises(ConfigError):
-            grid_search_dropout_rate(model, self.calibration(rng), [0.5, 1.0],
-                                     SensorNoiseModel.isotropic(0.1))
+            grid_search_dropout_rate(model, self.calibration(model, rng), [0.5, 1.0])
 
     def test_empty_calibration_rejected(self, model):
         with pytest.raises(ConfigError):
-            grid_search_dropout_rate(model, [], [0.1],
-                                     SensorNoiseModel.isotropic(0.1))
+            grid_search_dropout_rate(model, [], [0.1])
 
     def test_singleton_grid(self, model):
         rng = np.random.default_rng(1)
-        best, objectives = grid_search_dropout_rate(
-            model, self.calibration(rng), [0.2], SensorNoiseModel.isotropic(0.01),
-            n_trials=2)
+        best, objectives = grid_search_dropout_rate(model, self.calibration(model, rng), [0.2], n_trials=2)
         assert best == 0.2
         assert set(objectives) == {0.2}
 
@@ -328,8 +318,7 @@ class TestGridSearch:
         rng = np.random.default_rng(2)
         rates = [0.05, 0.2, 0.45]
         best, objectives = grid_search_dropout_rate(
-            model, self.calibration(rng), rates, SensorNoiseModel.isotropic(0.01),
-            n_trials=3, seed=4)
+            model, self.calibration(model, rng), rates, n_trials=3, seed=4)
         assert set(objectives) == set(rates)
         assert best == min(objectives, key=lambda r: (objectives[r], r))
 
@@ -340,22 +329,8 @@ class TestGridSearch:
         stub = FlipFlopModel([probs])
         rng = np.random.default_rng(3)
         targets = rng.integers(0, 2, size=(4, 4))
-        cal = [(np.zeros((5, 4, 4)), targets, np.ones((4, 4), dtype=bool))]
-        best, objectives = grid_search_dropout_rate(
-            stub, cal, [0.4, 0.1, 0.25], SensorNoiseModel.isotropic(0.1), n_trials=2)
+        cal = [(np.zeros((5, 4, 4)), targets, np.ones((4, 4), dtype=bool), np.full((4, 4), 0.02))]
+        best, objectives = grid_search_dropout_rate(stub, cal, [0.4, 0.1, 0.25], n_trials=2)
         assert best == 0.1
         assert len(set(objectives.values())) == 1
 
-
-class TestUncertaintyMap:
-    def test_total_is_floored_sum(self):
-        m = UncertaintyMap(
-            mean_prediction=np.zeros((2, 1, 1)),
-            epistemic=np.zeros((1, 1)),
-            aleatoric=np.zeros((1, 1)))
-        assert (m.total() >= 1e-6).all()
-        m2 = UncertaintyMap(
-            mean_prediction=np.zeros((2, 1, 1)),
-            epistemic=np.full((1, 1), 0.5),
-            aleatoric=np.full((1, 1), 0.25))
-        np.testing.assert_allclose(m2.total(), 0.75)
