@@ -166,10 +166,10 @@ def _load_scan(path):
     return _decode_file(path, "scan", read_kitti_scan)
 
 
-def _load_synthetic_dataset(args, proj):
+def _load_synthetic_dataset(args, proj, num_classes):
     scans = []
     for i in range(20 if args.num_scans is None else args.num_scans):
-        spec = default_scene_spec(args.seed + i, num_classes=args.classes, rows=proj.h, cols=proj.w)
+        spec = default_scene_spec(args.seed + i, num_classes=num_classes, rows=proj.h, cols=proj.w)
         scans.append(generate_synthetic_scene(seed=10_000 + args.seed + i, spec=spec))
     return scans
 
@@ -203,16 +203,18 @@ def cmd_train(args):
     proj = _proj_from_args(args, None if args.data else {"proj.w": 512, "proj.h": 64})
     out_dir = _ensure_dir(args.out_dir)
     class_map = None
-    num_classes = args.classes
+    num_classes = 4 if args.classes is None else args.classes
     if args.data:
         if not os.path.isdir(args.data):
             raise UsageError(f"dataset directory not found: {args.data}")
         if args.classmap:
             class_map = ClassMap.load(_require_file(args.classmap, "class map"))
+            if args.classes is not None and args.classes != class_map.num_classes:
+                raise UsageError(f"--classes {args.classes} differs from the class map's {class_map.num_classes}")
             num_classes = class_map.num_classes
         scans = _load_dir_dataset(args.data, class_map, num_classes)
     else:
-        scans = _load_synthetic_dataset(args, proj)
+        scans = _load_synthetic_dataset(args, proj, num_classes)
 
     if args.model_config:
         model_cfg = model_config_from_dict(load_kv_file(_require_file(args.model_config, "model config")))
@@ -476,7 +478,7 @@ def build_parser():
     src.add_argument("--data", help="directory of .bin scans with matching .label files")
     p.add_argument("--classmap", help="raw-to-train id map file; needs --data")
     p.add_argument("--num-scans", type=int, default=None, help="synthetic dataset size, default 20")
-    p.add_argument("--classes", type=int, default=4, help="class count, unless --classmap sets it")
+    p.add_argument("--classes", type=int, help="class count, default 4; must match --classmap if both are given")
     p.add_argument("--epochs", type=int, default=None, help="default 30; not with --train-config")
     p.add_argument("--model-config", help="key=value model config file")
     p.add_argument("--train-config", help="key=value train config file")

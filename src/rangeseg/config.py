@@ -28,11 +28,14 @@ def parse_kv_text(text: str) -> dict:
 
 
 def load_kv_file(path) -> dict:
+    """parse_kv_text of a file; a parse error names the file."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return parse_kv_text(fh.read())
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
 
 
 def format_kv(d: dict) -> str:

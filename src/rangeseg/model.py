@@ -108,15 +108,16 @@ class _RunState:
     op can still read it, so the tape holds no arrays.
     """
 
-    __slots__ = ("bn_train", "drop_active", "rng", "trials", "rate", "cache", "tape", "nodes")
+    __slots__ = ("bn_train", "drop_active", "rng", "trials", "rate", "cache", "held", "tape", "nodes")
 
-    def __init__(self, bn_train, drop_active, rng, rate, cache, record=None):
+    def __init__(self, bn_train, drop_active, rng, rate, cache, record=None, held=None):
         self.bn_train = bn_train
         self.drop_active = drop_active
         self.rng = rng
         self.trials = isinstance(rng, (list, tuple))  # one generator per MC trial of one image
         self.rate = rate
         self.cache = cache
+        self.held = held  # a HeldPrefix: the traversal fills it, or starts from it
         self.tape = None if record is None else []  # record: the input array of a recorded forward
         self.nodes = {id(record): 0}
 
@@ -158,6 +159,33 @@ class _RunState:
         if isinstance(a, GaussianTensor):
             return GaussianTensor(a.mean + b.mean, a.variance + b.variance)
         return self._record(a + b, lambda g: [g, g], a, b)
+
+
+class HeldPrefix:
+    """One image's dropout-free prefix, held across that image's MC forwards.
+
+    The first Model.forward(x, mode="mc", held=h) runs the whole network and
+    keeps what the layers from the first ChannelDropout layer on read: that
+    layer's input and the pooled skips taken before it. Every later forward
+    given h starts there, at any rate (0 included) and any number of
+    generators, with bit-equal results. The split is at the first dropout
+    layer, active or not; a network without one keeps nothing and runs whole.
+    h keeps a copy of its image and refuses any other.
+    """
+
+    __slots__ = ("image", "stage", "skips", "drop_input")
+
+    def __init__(self):
+        self.image = None
+        self.stage = None  # index of the encoder stage that holds the first dropout layer
+        self.skips = ()  # the pooled skips up to and including that stage's
+        self.drop_input = None
+
+    def _bind(self, x):
+        if self.image is None:
+            self.image = x.copy()
+        elif x.shape != self.image.shape or x.dtype != self.image.dtype or not np.array_equal(x, self.image):
+            raise StaleStateError("this held prefix belongs to another image")
 
 
 def _layer_backward(layer, g):
@@ -258,11 +286,14 @@ class EncoderStage(_Block):
 
     def run(self, x, rs):
         f = self.block.run(x, rs)
-        out = f
+        return f, self.down(f, rs)  # f is the skip tensor, taken before dropout
+
+    def down(self, f, rs):
+        """Dropout, then pooling, where the stage has them."""
         for layer in (self.drop, self.pool):
             if layer is not None:
-                out = rs.apply(layer, out)
-        return f, out  # f is the skip tensor, taken before dropout
+                f = rs.apply(layer, f)
+        return f
 
 
 class DecoderStage(_Block):
@@ -360,7 +391,7 @@ class Model(_Block):
             raise DimensionError(f"spatial size {x.shape[2:]} not divisible by {div}")
         return x
 
-    def forward(self, x, mode="eval", rng=None, seed=None, rate=None, cache=False):
+    def forward(self, x, mode="eval", rng=None, seed=None, rate=None, cache=False, held=None):
         """Run the network; returns (n, num_classes, h, w) probabilities.
 
         mode: 'train' (batch-stat BN, dropout on), 'eval' (running-stat BN,
@@ -373,9 +404,15 @@ class Model(_Block):
         once at batch 1; that dropout draws one mask row per generator and
         widens the batch to k, and skips taken before it are broadcast
         against the k rows. With no active dropout the one output is repeated.
+
+        held, a HeldPrefix, shares the layers before the first dropout layer
+        across the 'mc' forwards of one image: the first runs them, later
+        ones start from what it kept (see HeldPrefix). Not with cache=True.
         """
         if mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}")
+        if held is not None and (mode != "mc" or cache):
+            raise ConfigError("a held prefix serves mode='mc' forwards without cache")
         if rate is not None:
             check_rate(rate)  # here too, for a network with no dropout layer
         trials = isinstance(rng, (list, tuple))
@@ -393,8 +430,10 @@ class Model(_Block):
             for _, layer in self.named_layers() if isinstance(layer, ChannelDropout)
         ):
             raise ConfigError("active dropout needs an rng or a seed")  # before any BN buffer moves
+        if held is not None:
+            held._bind(x)
         rs = _RunState(mode == "train", mode in ("train", "mc"), rng, rate, cache,
-                       record=x if cache and not trials else None)
+                       record=x if cache and not trials else None, held=held)
         self._tape = None
         probs = self._run(x, rs)
         self._tape = rs.tape
@@ -403,14 +442,25 @@ class Model(_Block):
         return probs[0] if squeeze else probs
 
     def _run(self, h, rs):
-        """The one traversal: an array gives probabilities, a GaussianTensor their moments."""
-        for blk in self.context:
-            h = blk.run(h, rs)
-        skips = []
-        for st in self.encoder:
+        """The one traversal: an array gives probabilities, a GaussianTensor their moments.
+
+        A filled holder starts it at the first dropout layer; an empty one is filled there.
+        """
+        held = rs.held
+        if held is None or held.stage is None:
+            for blk in self.context:
+                h = blk.run(h, rs)
+            skips, stages = [], enumerate(self.encoder)
+        else:
+            skips = list(held.skips)
+            h = self.encoder[held.stage].down(held.drop_input, rs)
+            stages = enumerate(self.encoder[held.stage + 1 :], held.stage + 1)
+        for i, st in stages:
             f, h = st.run(h, rs)
             if st.pool is not None:
                 skips.append(f)
+            if held is not None and held.stage is None and st.drop is not None:
+                held.stage, held.skips, held.drop_input = i, tuple(skips), f
         for st in self.decoder:
             h = st.run(h, skips.pop(), rs)
         return rs.apply(self.softmax, rs.apply(self.head, h))

@@ -101,11 +101,14 @@ class ClassMap:
 
     @classmethod
     def load(cls, path) -> "ClassMap":
+        """from_text of a file; a parse error names the file."""
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 return cls.from_text(fh.read())
         except UnicodeDecodeError as exc:
             raise ClassMapError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+        except ClassMapError as exc:
+            raise ClassMapError(f"{path}: {exc}") from None
 
     def remap(self, raw_ids: np.ndarray) -> np.ndarray:
         """Map raw semantic ids to training indices; unknown ids are an error."""

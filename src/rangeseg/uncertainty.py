@@ -3,12 +3,14 @@
 Epistemic: n stochastic forward passes with dropout kept active (batch norm
 stays in eval statistics), per-pixel value = sum over classes of the
 population variance of the per-trial probabilities. The trials go to
-Model.forward a group at a time, so the layers before the first dropout run
-once per group, with results bit-equal to one forward per trial. Aleatoric:
-the input is wrapped as a Gaussian with per-channel sensor noise and pushed
-through the ADF rules; per-pixel value = sum over classes of the output
-variance. The grid search picks the dropout rate minimizing a Gaussian negative
-log-likelihood of the one-hot labels under the total uncertainty.
+Model.forward a group at a time, all sharing one HeldPrefix: the image's
+first forward runs the layers before the first dropout layer and every
+later one, at any rate, starts from what it kept. Results are bit-equal to
+one forward per trial. Aleatoric: the input is wrapped as a Gaussian with
+per-channel sensor noise and pushed through the ADF rules; per-pixel value =
+sum over classes of the output variance. The grid search picks the dropout
+rate minimizing a Gaussian negative log-likelihood of the one-hot labels
+under the total uncertainty.
 """
 
 from __future__ import annotations
@@ -20,14 +22,19 @@ import numpy as np
 from .adf import GaussianTensor
 from .errors import ConfigError, DimensionError, InvalidDistributionError, InvalidTrialsError
 from .layers import check_rate
-from .model import Model
+from .model import HeldPrefix, Model
 from .projection import CHANNELS
 
 SIGMA_FLOOR = 1e-6
 # Trials per Model.forward in mc_dropout_infer, counting one float64
 # base-width feature map per trial: the widened suffix holds a few such maps
-# per trial, so this bounds the extra peak memory (10 micro trials at 64x512).
-_MC_GROUP_BYTES = 20 << 20
+# per trial. With the prefix held, widening no longer saves prefix work: on
+# the micro net at 64x512, n=30 in groups of 1/2/3/5 took a median
+# 1.24/1.24/1.26/1.34 s (16 interleaved calls, 2-vCPU Xeon, one BLAS thread)
+# and peaked at 95/106/118/142 MB RSS, against 139 MB for adf_infer. Groups of
+# 1 are as fast and the smallest, so 2 MiB gives one micro trial at 64x512 per
+# forward, and one default-config trial at 64x2048; small images still widen.
+_MC_GROUP_BYTES = 2 << 20
 
 
 @dataclass(frozen=True)
@@ -69,12 +76,15 @@ def _zeros_like_map(probs):
     return np.zeros(probs.shape[1:], dtype=np.float64)
 
 
-def mc_dropout_infer(model: Model, x: np.ndarray, n: int, seed=0, rate=None) -> UncertaintyMap:
+def mc_dropout_infer(model: Model, x: np.ndarray, n: int, seed=0, rate=None, held=None) -> UncertaintyMap:
     """n dropout-active forward passes; epistemic variance of the softmax.
 
     Trial i draws its masks from default_rng(SeedSequence(seed).spawn(n)[i]);
     each Model.forward call gets a group of these generators and widens the
-    batch to the group at the first dropout.
+    batch to the group at the first dropout. held shares x's prefix with
+    other calls on x (a fresh HeldPrefix if None). The trials are stored in
+    the forward's dtype and reduced in float64 a trial at a time, in trial
+    order, which is what numpy's mean and var over the trial axis do.
     """
     if n < 1:
         raise InvalidTrialsError("need at least one trial")
@@ -83,12 +93,30 @@ def mc_dropout_infer(model: Model, x: np.ndarray, n: int, seed=0, rate=None) -> 
         raise DimensionError(f"expected one (channels, h, w) image, got {x.shape}")
     rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(n)]
     group = max(1, _MC_GROUP_BYTES // (8 * model.cfg.base_channels * x.shape[1] * x.shape[2]))
-    trials = np.empty((n,) + (model.cfg.num_classes,) + x.shape[1:], dtype=np.float64)
+    held = HeldPrefix() if held is None else held
+    trials = None
     for i in range(0, n, group):
-        trials[i : i + group] = model.forward(x, mode="mc", rng=rngs[i : i + group], rate=rate)
-    mean = trials.mean(axis=0)
-    epistemic = trials.var(axis=0).sum(axis=0)  # population variance, class-summed
-    return UncertaintyMap(mean_prediction=mean, epistemic=epistemic, aleatoric=_zeros_like_map(mean))
+        probs = model.forward(x, mode="mc", rng=rngs[i : i + group], rate=rate, held=held)
+        if trials is None:
+            trials = np.empty((n,) + probs.shape[1:], dtype=probs.dtype)
+        trials[i : i + group] = probs
+    mean = trials[0].astype(np.float64)
+    for t in trials[1:]:
+        mean += t
+    mean /= n
+    var = np.zeros_like(mean)
+    for t in trials:
+        d = t - mean
+        var += d * d
+    var /= n  # population variance
+    return UncertaintyMap(mean_prediction=mean, epistemic=var.sum(axis=0), aleatoric=_zeros_like_map(mean))
+
+
+def _check_pixels(shape, **maps):
+    """DimensionError unless each per-pixel map has the image's (h, w) shape."""
+    for name, m in maps.items():
+        if np.shape(m) != shape:
+            raise DimensionError(f"{name} must have the image's shape {shape}, got {np.shape(m)}")
 
 
 def adf_infer(model: Model, x: np.ndarray, noise: SensorNoiseModel, valid=None) -> UncertaintyMap:
@@ -100,6 +128,7 @@ def adf_infer(model: Model, x: np.ndarray, noise: SensorNoiseModel, valid=None) 
         raise DimensionError(f"noise model has {len(noise.variances)} channels, image {x.shape[0]}")
     var = np.broadcast_to(noise.variances[:, None, None], x.shape).copy()
     if valid is not None:
+        _check_pixels(x.shape[1:], valid=valid)
         var *= np.asarray(valid, dtype=np.float64)[None]  # empty pixels carry no noise
     out = model.adf(GaussianTensor(x[None], var[None]))
     return UncertaintyMap(
@@ -116,6 +145,10 @@ def default_rate_grid() -> np.ndarray:
 
 def nll_objective(mean_prediction, sigma_tot, targets, valid) -> float:
     """Sum over valid pixels of 1/2 log(sigma) + ||onehot - pred||^2 / (2 sigma)."""
+    mean_prediction = np.asarray(mean_prediction)
+    if mean_prediction.ndim != 3:
+        raise DimensionError(f"expected (C, h, w) mean prediction, got {mean_prediction.shape}")
+    _check_pixels(mean_prediction.shape[1:], sigma_tot=sigma_tot, targets=targets, valid=valid)
     c = mean_prediction.shape[0]
     onehot = np.eye(c)[np.asarray(targets)]            # (h, w, C)
     resid = ((onehot.transpose(2, 0, 1) - mean_prediction) ** 2).sum(axis=0)
@@ -130,21 +163,21 @@ def grid_search_dropout_rate(model: Model, calibration, rates, n_trials: int = 3
     calibration: iterable of (x, targets, valid, aleatoric) items, one per
     range image; aleatoric is the image's rate-independent ADF map (h, w).
     The model is never retrained; only inference-time dropout changes.
-    Returns (best_rate, {rate: objective}); ties go to the smaller rate.
+    Returns (best_rate, {rate: objective}) over the distinct rates; each
+    objective sums the images in calibration order. Ties go to the smaller rate.
     """
-    rates = [check_rate(float(r), "candidate rate") for r in rates]
+    rates = sorted({check_rate(float(r), "candidate rate") for r in rates})
     if not rates:
         raise ConfigError("need at least one candidate rate")
     calibration = list(calibration)
     if not calibration:
         raise ConfigError("need at least one calibration image")
 
-    objectives = {}
-    for rate in sorted(rates):
-        total = 0.0
-        for x, targets, valid, aleatoric in calibration:
-            mc = mc_dropout_infer(model, x, n_trials, seed=seed, rate=rate)
-            total += nll_objective(mc.mean_prediction, mc.epistemic + aleatoric, targets, valid)
-        objectives[rate] = total
+    objectives = dict.fromkeys(rates, 0.0)
+    for x, targets, valid, aleatoric in calibration:
+        held = HeldPrefix()  # the image's prefix runs once, for every rate
+        for rate in rates:
+            mc = mc_dropout_infer(model, x, n_trials, seed=seed, rate=rate, held=held)
+            objectives[rate] += nll_objective(mc.mean_prediction, mc.epistemic + aleatoric, targets, valid)
     best = min(objectives, key=lambda r: (objectives[r], r))
     return best, objectives

@@ -191,6 +191,13 @@ class TestConfigBlock:
             load_kv_file(path)
         assert str(path) in str(exc.value)
 
+    def test_parse_error_names_the_file(self, tmp_path):
+        path = tmp_path / "model.cfg"
+        path.write_text("num_classes=4\nbase_channels 8\n")
+        with pytest.raises(ConfigError) as exc:
+            load_kv_file(path)
+        assert str(exc.value).startswith(f"{path}: line 2: expected key=value")
+
     def test_model_config_round_trip(self):
         cfg = ModelConfig(num_classes=11, dropout_rate=0.35,
                           base_channels=8, encoder_channels=(8, 16, 32),

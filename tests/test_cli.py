@@ -248,6 +248,17 @@ def test_train_data_dir_with_and_without_classmap(ws, tmp_path):
     assert blobs[0] == blobs[1]
 
 
+def test_train_classes_differing_from_classmap_exits_two(ws, tmp_path, capsys):
+    (tmp_path / "map.classmap").write_text("10 0 ground\n20 1 box\n30 2 pole\n40 3 wall\n")
+    raw = write_dataset(tmp_path / "raw", ws.scans, ClassMap.load(tmp_path / "map.classmap"))
+    rc = main(["train", "--epochs", "1", "--width", str(W), "--height", str(H), "--data", raw,
+               "--classmap", str(tmp_path / "map.classmap"), "--classes", "7",
+               "--out-dir", str(tmp_path / "o")])
+    assert rc == 2
+    assert "--classes 7 differs from the class map's 4" in capsys.readouterr().err
+    assert not (tmp_path / "o" / "checkpoint.rseg").exists()
+
+
 def test_train_data_dir_without_scans_exits_two(tmp_path, capsys):
     (tmp_path / "empty").mkdir()
     rc = main(["train", "--data", str(tmp_path / "empty"), "--out-dir", str(tmp_path / "o")])
@@ -286,6 +297,15 @@ def test_train_data_dir_rejects_num_scans_and_class_count_mismatch(ws, tmp_path,
     assert not (tmp_path / "a").exists()
     assert main([*common, "--model-config", str(cfg), "--out-dir", str(tmp_path / "b")]) == 2
     assert "3 classes" in capsys.readouterr().err
+
+
+def test_config_parse_error_exits_one_naming_the_file(tmp_path, capsys):
+    cfg = tmp_path / "model.cfg"
+    cfg.write_text("num_classes 4\n")
+    rc = main(["train", "--synthetic", "--num-scans", "1", "--model-config", str(cfg),
+               "--out-dir", str(tmp_path / "o")])
+    assert rc == 1
+    assert f"error: ConfigError: {cfg}: line 1: expected key=value" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command, error", [("train", "ConfigError"), ("eval", "ClassMapError")])

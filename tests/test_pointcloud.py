@@ -128,6 +128,13 @@ class TestClassMap:
             ClassMap.load(path)
         assert str(path) in str(exc.value)
 
+    def test_parse_error_names_the_file(self, tmp_path):
+        path = tmp_path / "bad.classmap"
+        path.write_text("10 0 car\n40 1\n")
+        with pytest.raises(ClassMapError) as exc:
+            ClassMap.load(path)
+        assert str(exc.value).startswith(f"{path}: line 2: expected 'raw train name'")
+
     def test_shipped_semantic_kitti_map(self):
         import rangeseg
 

@@ -11,9 +11,10 @@ from rangeseg.errors import (
     DimensionError,
     InvalidDistributionError,
     InvalidTrialsError,
+    StaleStateError,
 )
 from rangeseg.layers import Conv2d
-from rangeseg.model import ModelConfig, build_model, micro_config
+from rangeseg.model import HeldPrefix, ModelConfig, build_model, micro_config
 from rangeseg.uncertainty import (
     SensorNoiseModel,
     adf_infer,
@@ -37,7 +38,8 @@ def image():
 class FlipFlopModel:
     """Deterministic 2-class stand-in alternating between two probability maps.
 
-    A sequence rng asks for one trial per generator, as Model.forward does.
+    A sequence rng asks for one trial per generator, as Model.forward does;
+    a held prefix is accepted and ignored.
     """
 
     def __init__(self, maps):
@@ -45,7 +47,7 @@ class FlipFlopModel:
         self.calls = 0
         self.cfg = SimpleNamespace(num_classes=maps[0].shape[0], base_channels=1)
 
-    def forward(self, x, mode="eval", rng=None, seed=None, rate=None, cache=False):
+    def forward(self, x, mode="eval", rng=None, seed=None, rate=None, cache=False, held=None):
         if isinstance(rng, (list, tuple)):
             return np.stack([self.forward(x) for _ in rng])
         out = self.maps[self.calls % len(self.maps)]
@@ -139,6 +141,25 @@ TRIAL_CONFIGS = {
 }
 
 
+def set_group(monkeypatch, model, x, group):
+    """Make mc_dropout_infer put `group` trials of x in each forward."""
+    unit = 8 * model.cfg.base_channels * x.shape[1] * x.shape[2]
+    monkeypatch.setattr(uncertainty, "_MC_GROUP_BYTES", group * unit)
+
+
+def spy_batches(monkeypatch, model, name="context0.short.conv"):
+    """The batch of every forward of one named layer, in call order."""
+    layer = dict(model.named_layers())[name]
+    batches = []
+
+    def spy(x, cache=False, forward=layer.forward):
+        batches.append(len(x))
+        return forward(x, cache=cache)
+
+    monkeypatch.setattr(layer, "forward", spy)
+    return batches
+
+
 def per_trial_forwards(model, x, n, seed, rate):
     """The trials one at a time, each with its own SeedSequence child."""
     children = np.random.SeedSequence(seed).spawn(n)
@@ -154,22 +175,23 @@ class TestBatchedTrials:
         return build_model(cfg, seed=2), x
 
     @pytest.mark.parametrize("rate", [None, 0.0, 0.3])
-    @pytest.mark.parametrize("n, group", [(1, None), (7, None), (7, 3)])
+    @pytest.mark.parametrize("n, group", [(1, None), (7, None), (7, 3), (30, None), (30, 1), (30, 3)])
     def test_matches_per_trial_loop(self, case, rate, n, group, monkeypatch):
         model, x = case
-        if group is not None:  # a budget of `group` trials per forward: groups of 3, 3, 1
-            unit = 8 * model.cfg.base_channels * x.shape[1] * x.shape[2]
-            monkeypatch.setattr(uncertainty, "_MC_GROUP_BYTES", group * unit)
+        if group is not None:  # a budget of `group` trials per forward, e.g. groups of 3, 3, 1 for n=7
+            set_group(monkeypatch, model, x, group)
         calls = []
         forward = model.forward
 
         def counted(*args, **kwargs):
-            calls.append(kwargs["rng"])
+            calls.append(kwargs)
             return forward(*args, **kwargs)
 
         monkeypatch.setattr(model, "forward", counted)
         out = mc_dropout_infer(model, x, n, seed=5, rate=rate)
-        assert [len(rngs) for rngs in calls] == ([n] if group is None else [3, 3, 1])
+        group = group or n
+        assert [len(kw["rng"]) for kw in calls] == [min(group, n - i) for i in range(0, n, group)]
+        assert len({id(kw["held"]) for kw in calls}) == 1  # one holder per call
         monkeypatch.undo()
         trials = per_trial_forwards(model, x, n, seed=5, rate=rate)
         np.testing.assert_array_equal(out.mean_prediction, trials.mean(axis=0))
@@ -220,6 +242,48 @@ class TestBatchedTrials:
             model.forward(np.stack([image, image]), mode=mode, rng=np.random.default_rng(0))
 
 
+class TestHeldPrefix:
+    @pytest.mark.parametrize("n", [1, 7, 30])
+    @pytest.mark.parametrize("group", [1, 3, "n"])
+    def test_prefix_runs_once_per_call(self, model, image, n, group, monkeypatch):
+        set_group(monkeypatch, model, image, n if group == "n" else group)
+        batches = spy_batches(monkeypatch, model)
+        mc_dropout_infer(model, image, n, seed=1)
+        mc_dropout_infer(model, image, n, seed=2, rate=0.0)
+        assert batches == [1, 1]
+
+    def test_search_runs_prefix_once_per_image(self, model, monkeypatch):
+        rng = np.random.default_rng(6)
+        cal = [(rng.normal(size=(5, 16, 32)).astype(np.float32), rng.integers(0, 4, size=(16, 32)),
+                np.ones((16, 32), dtype=bool), np.full((16, 32), 0.01)) for _ in range(2)]
+        set_group(monkeypatch, model, cal[0][0], 1)
+        batches = spy_batches(monkeypatch, model)
+        grid_search_dropout_rate(model, cal, [0.05, 0.2, 0.45], n_trials=3)
+        assert batches == [1, 1]
+
+    def test_serves_every_rate_bit_equal(self, model, image):
+        held = HeldPrefix()
+        for rate in (0.3, 0.0, None, 0.05):
+            rngs = [np.random.default_rng(c) for c in np.random.SeedSequence(8).spawn(3)]
+            fresh = [np.random.default_rng(c) for c in np.random.SeedSequence(8).spawn(3)]
+            np.testing.assert_array_equal(model.forward(image, mode="mc", rng=rngs, rate=rate, held=held),
+                                          model.forward(image, mode="mc", rng=fresh, rate=rate))
+
+    def test_refusals_are_typed_and_leave_it_usable(self, model, image):
+        held = HeldPrefix()
+        first = model.forward(image, mode="mc", rng=[np.random.default_rng(0)], held=held)
+        for other in (image + 1, image.astype(np.float64), image[:, :, :16]):
+            with pytest.raises(StaleStateError):
+                model.forward(other, mode="mc", rng=[np.random.default_rng(0)], held=held)
+        for mode in ("train", "eval"):
+            with pytest.raises(ConfigError):
+                model.forward(image, mode=mode, rng=np.random.default_rng(0), held=held)
+        with pytest.raises(ConfigError):
+            model.forward(image, mode="mc", rng=np.random.default_rng(0), cache=True, held=held)
+        again = model.forward(image, mode="mc", rng=[np.random.default_rng(0)], held=held)
+        np.testing.assert_array_equal(again, first)
+
+
 class TestAdfInfer:
     def test_needs_single_image(self, model, image):
         with pytest.raises(DimensionError):
@@ -244,6 +308,11 @@ class TestAdfInfer:
         lo = adf_infer(model, image, SensorNoiseModel.isotropic(1e-4))
         hi = adf_infer(model, image, SensorNoiseModel.isotropic(0.25))
         assert hi.aleatoric.mean() > lo.aleatoric.mean()
+
+    @pytest.mark.parametrize("shape", [(32,), (1, 32), (32, 16)])
+    def test_valid_mask_must_match_image(self, model, image, shape):
+        with pytest.raises(DimensionError):
+            adf_infer(model, image, SensorNoiseModel.isotropic(0.1), valid=np.ones(shape, dtype=bool))
 
     def test_valid_mask_silences_empty_pixels(self, model, image):
         valid = np.zeros((16, 32), dtype=bool)
@@ -287,6 +356,16 @@ class TestObjectiveAndGrid:
         assert v1 == pytest.approx(v2, rel=1e-12)
 
 
+    @pytest.mark.parametrize("arg", ["sigma_tot", "targets", "valid"])
+    @pytest.mark.parametrize("shape", [(1, 32), (32,), (32, 16)])
+    def test_nll_per_pixel_args_must_match_image(self, arg, shape):
+        args = {"sigma_tot": np.ones((16, 32)), "targets": np.zeros((16, 32), dtype=int),
+                "valid": np.ones((16, 32), dtype=bool)}
+        args[arg] = np.ones(shape, dtype=args[arg].dtype)
+        with pytest.raises(DimensionError):
+            nll_objective(np.full((2, 16, 32), 0.5), **args)
+
+
 class TestGridSearch:
     def calibration(self, model, rng, shape=(16, 32)):
         x = rng.normal(size=(5,) + shape).astype(np.float32)
@@ -321,6 +400,31 @@ class TestGridSearch:
             model, self.calibration(model, rng), rates, n_trials=3, seed=4)
         assert set(objectives) == set(rates)
         assert best == min(objectives, key=lambda r: (objectives[r], r))
+
+    def test_objectives_bit_equal_to_one_call_per_rate(self, model, monkeypatch):
+        rng = np.random.default_rng(5)
+        cal = self.calibration(model, rng) + self.calibration(model, rng)
+        rates = [0.2, 0.05, 0.2, 0.45]  # a duplicate rate runs, and counts, once
+        calls = []
+        infer = uncertainty.mc_dropout_infer
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs["rate"])
+            return infer(*args, **kwargs)
+
+        monkeypatch.setattr(uncertainty, "mc_dropout_infer", counted)
+        best, objectives = grid_search_dropout_rate(model, cal, rates, n_trials=4, seed=2)
+        monkeypatch.undo()
+        assert calls == [0.05, 0.2, 0.45] * len(cal)
+        expected = {}
+        for rate in (0.05, 0.2, 0.45):
+            total = 0.0
+            for x, targets, valid, aleatoric in cal:
+                mc = mc_dropout_infer(model, x, 4, seed=2, rate=rate)
+                total += nll_objective(mc.mean_prediction, mc.epistemic + aleatoric, targets, valid)
+            expected[rate] = total
+        assert objectives == expected
+        assert best == min(expected, key=lambda r: (expected[r], r))
 
     def test_ties_go_to_smaller_rate(self):
         # the stub ignores the rate entirely, so every objective ties
