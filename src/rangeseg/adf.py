@@ -37,12 +37,17 @@ class GaussianTensor:
             raise InvalidDistributionError("negative variance")
         self.variance = np.maximum(self.variance, VARIANCE_FLOOR).astype(self.mean.dtype, copy=False)
 
+    @classmethod
+    def trusted(cls, mean, variance):
+        """Wrap arrays known valid, not re-checked: equal shapes, variance floored and of mean's dtype."""
+        g = object.__new__(cls)
+        g.mean, g.variance = mean, variance
+        return g
+
 
 def _floored(mean, var):
     """A rule's output: floored once and not re-validated, as the rules keep shapes equal."""
-    g = object.__new__(GaussianTensor)
-    g.mean, g.variance = mean, np.maximum(var, VARIANCE_FLOOR).astype(mean.dtype, copy=False)
-    return g
+    return GaussianTensor.trusted(mean, np.maximum(var, VARIANCE_FLOOR).astype(mean.dtype, copy=False))
 
 
 def conv2d_adf(layer: Conv2d, g: GaussianTensor) -> GaussianTensor:

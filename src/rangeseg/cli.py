@@ -31,7 +31,7 @@ from .fileio import write_atomic
 from .imageio import save_grayscale, save_labels
 from .layers import check_rate
 from .metrics import ConfusionMatrix
-from .model import build_model, micro_config
+from .model import HeldPrefix, build_model, micro_config
 from .pointcloud import (
     ClassMap,
     decode_kitti_labels,
@@ -400,31 +400,39 @@ def cmd_uncertainty(args):
     out_dir = _ensure_dir(args.out_dir)
 
     outputs = []
-    calibration = []
-    for i, path in enumerate(args.scans):
-        scan = _load_scan(path)
-        img = build_range_image(scan, proj)
-        stem = _stem(path)
-        mc = mc_dropout_infer(model, img.channels, args.mc_trials, seed=args.seed, rate=args.rate)
-        _write_npy(os.path.join(out_dir, f"{stem}_epistemic.npy"), mc.epistemic)
-        outputs.append(save_grayscale(os.path.join(out_dir, f"{stem}_epistemic.png"), mc.epistemic))
-        if adf_noise is not None:
-            aleatoric = adf_infer(model, img.channels, adf_noise, img.valid).aleatoric
-        if noise is not None:
-            _write_npy(os.path.join(out_dir, f"{stem}_aleatoric.npy"), aleatoric)
-            outputs.append(save_grayscale(os.path.join(out_dir, f"{stem}_aleatoric.png"), aleatoric))
-        if search:
-            labeled = _decode_file(args.gt[i], "label file", read_kitti_labels, scan)
-            calibration.append((img.channels, img.label_image(labeled.labels, fill=0), img.valid, aleatoric))
+
+    def scan_maps():
+        """Write each scan's maps; with --gt, yield its calibration item as soon as it is made."""
+        for i, path in enumerate(args.scans):
+            scan = _load_scan(path)
+            img = build_range_image(scan, proj)
+            stem = _stem(path)
+            if adf_noise is not None:  # before the holder fills: the ADF pass sets the peak
+                aleatoric = adf_infer(model, img.channels, adf_noise, img.valid).aleatoric
+            held = HeldPrefix()  # the scan's prefix, shared by this MC pass and the rate search
+            mc = mc_dropout_infer(model, img.channels, args.mc_trials, seed=args.seed, rate=args.rate, held=held)
+            _write_npy(os.path.join(out_dir, f"{stem}_epistemic.npy"), mc.epistemic)
+            outputs.append(save_grayscale(os.path.join(out_dir, f"{stem}_epistemic.png"), mc.epistemic))
+            if noise is not None:
+                _write_npy(os.path.join(out_dir, f"{stem}_aleatoric.npy"), aleatoric)
+                outputs.append(save_grayscale(os.path.join(out_dir, f"{stem}_aleatoric.png"), aleatoric))
+            if search:
+                labeled = _decode_file(args.gt[i], "label file", read_kitti_labels, scan)
+                yield img.channels, img.label_image(labeled.labels, fill=0), img.valid, aleatoric, held
+            del held  # not kept through the next scan's ADF pass
 
     result = {"outputs": outputs, "mc_trials": args.mc_trials}
     if search:
+        # the search takes each scan as it is made, so one scan's prefix is held at a time
         best, objectives = grid_search_dropout_rate(
-            model, calibration, rates, n_trials=args.mc_trials, seed=args.seed
+            model, scan_maps(), rates, n_trials=args.mc_trials, seed=args.seed
         )
         result["selected_rate"] = best
         result["objectives"] = {f"{r:.6g}": o for r, o in sorted(objectives.items())}
         print(f"selected_rate={best:.6g}")
+    else:
+        for _ in scan_maps():
+            pass
 
     manifest = _manifest("uncertainty", vars(args), {}, result)
     _write_json(os.path.join(out_dir, "manifest.json"), manifest)

@@ -127,12 +127,18 @@ class _RunState:
             self.nodes[id(out)] = len(self.tape)
         return out
 
-    def apply(self, layer, x):
-        """The layer's forward on an array, its ADF rule on a GaussianTensor."""
+    def apply(self, layer, x, own=False):
+        """The layer's forward on an array, its ADF rule on a GaussianTensor.
+
+        own: x is a buffer that nothing else reads, so a LeakyReLU or
+        BatchNorm2d without cache writes its result into it.
+        """
         if isinstance(x, GaussianTensor):
             return adf_forward(layer, x)
         if isinstance(layer, BatchNorm2d):
-            y = layer.forward(x, train=self.bn_train, cache=self.cache)
+            y = layer.forward(x, train=self.bn_train, cache=self.cache, inplace=own)
+        elif isinstance(layer, LeakyReLU):
+            y = layer.forward(x, cache=self.cache, inplace=own)
         elif isinstance(layer, ChannelDropout):
             y = layer.forward(x, active=self.drop_active, rng=self.rng, rate=self.rate, cache=self.cache)
         else:
@@ -143,9 +149,11 @@ class _RunState:
         """Channel concatenation of arrays, or of Gaussians' means and variances.
 
         A forward over several MC trials broadcasts batch-1 skips to the widened batch.
+        Gaussian parts are rule outputs, already floored, and so are their
+        concatenation and (in add) their sum: neither is checked again.
         """
         if isinstance(parts[0], GaussianTensor):
-            return GaussianTensor(
+            return GaussianTensor.trusted(
                 np.concatenate([p.mean for p in parts], axis=1),
                 np.concatenate([p.variance for p in parts], axis=1),
             )
@@ -157,7 +165,7 @@ class _RunState:
     def add(self, a, b):
         # residual merges treat the branches as independent (moment matching)
         if isinstance(a, GaussianTensor):
-            return GaussianTensor(a.mean + b.mean, a.variance + b.variance)
+            return GaussianTensor.trusted(a.mean + b.mean, a.variance + b.variance)
         return self._record(a + b, lambda g: [g, g], a, b)
 
 
@@ -233,9 +241,8 @@ class ConvUnit(_Block):
         return [("conv", self.conv), ("act", self.act), ("bn", self.bn)]
 
     def run(self, x, rs: _RunState):
-        for _, layer in self.children():
-            x = rs.apply(layer, x)
-        return x
+        x = rs.apply(self.conv, x)  # a fresh buffer that only act and bn read
+        return rs.apply(self.bn, rs.apply(self.act, x, own=True), own=True)
 
 
 class ContextBlock(_Block):

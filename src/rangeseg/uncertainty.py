@@ -160,24 +160,28 @@ def nll_objective(mean_prediction, sigma_tot, targets, valid) -> float:
 def grid_search_dropout_rate(model: Model, calibration, rates, n_trials: int = 30, seed: int = 0):
     """Pick the dropout rate minimizing the NLL objective on labeled data.
 
-    calibration: iterable of (x, targets, valid, aleatoric) items, one per
-    range image; aleatoric is the image's rate-independent ADF map (h, w).
-    The model is never retrained; only inference-time dropout changes.
-    Returns (best_rate, {rate: objective}) over the distinct rates; each
-    objective sums the images in calibration order. Ties go to the smaller rate.
+    calibration: iterable of (x, targets, valid, aleatoric[, held]) items,
+    one per range image, taken one at a time; aleatoric is the image's
+    rate-independent ADF map (h, w), and held a HeldPrefix the caller shares
+    with its own MC calls on x (a fresh one if absent). The model is never
+    retrained; only inference-time dropout changes. Returns (best_rate,
+    {rate: objective}) over the distinct rates; each objective sums the
+    images in calibration order. Ties go to the smaller rate.
     """
     rates = sorted({check_rate(float(r), "candidate rate") for r in rates})
     if not rates:
         raise ConfigError("need at least one candidate rate")
-    calibration = list(calibration)
-    if not calibration:
-        raise ConfigError("need at least one calibration image")
 
     objectives = dict.fromkeys(rates, 0.0)
-    for x, targets, valid, aleatoric in calibration:
-        held = HeldPrefix()  # the image's prefix runs once, for every rate
+    images = 0
+    for x, targets, valid, aleatoric, *held in calibration:
+        held = held[0] if held else HeldPrefix()  # the image's prefix runs once, for every rate
         for rate in rates:
             mc = mc_dropout_infer(model, x, n_trials, seed=seed, rate=rate, held=held)
             objectives[rate] += nll_objective(mc.mean_prediction, mc.epistemic + aleatoric, targets, valid)
+        images += 1
+        del held  # free it before asking for the next item, whose making may fill another
+    if not images:
+        raise ConfigError("need at least one calibration image")
     best = min(objectives, key=lambda r: (objectives[r], r))
     return best, objectives

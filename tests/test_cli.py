@@ -536,6 +536,26 @@ def test_uncertainty_gt_runs_one_adf_pass_per_scan(ws, tmp_path, monkeypatch, no
     assert set(manifest_of(out)["objectives"]) == {"0.05", "0.3"}
 
 
+def test_uncertainty_gt_runs_each_prefix_once(ws, tmp_path, monkeypatch):
+    # the MC pass at --rate and the rate search share one held prefix per scan
+    convs = []
+    load = cli.load_checkpoint
+
+    def counting_load(path):
+        loaded = load(path)
+        conv = loaded[0].context[0].short.conv
+        forward = conv.forward
+        conv.forward = lambda x, cache=False: convs.append(len(x)) or forward(x, cache=cache)
+        return loaded
+
+    monkeypatch.setattr(cli, "load_checkpoint", counting_load)
+    gts = [str(ws.gt_dir / f"scan{i:03d}.label") for i in range(2)]
+    rc = main(["uncertainty", *ws.scan_paths, "--checkpoint", ws.ckpt, "--mc-trials", "2",
+               "--rates", "0.1,0.3", "--gt", *gts, "--out-dir", str(tmp_path / "unc")])
+    assert rc == 0
+    assert convs == [1] * len(ws.scan_paths)
+
+
 def test_uncertainty_gt_class_id_out_of_range_exits_two_before_mc(ws, tmp_path, capsys, monkeypatch):
     def no_mc(*_, **__):
         raise AssertionError("MC pass ran")

@@ -4,6 +4,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from rangeseg import layers
 from rangeseg.adf import GaussianTensor, conv2d_adf
@@ -304,7 +307,70 @@ class TestLeakyReLU:
         np.testing.assert_allclose(act.backward(np.array([[1.0, 1.0]])), [[0.1, 1.0]])
 
 
+class TestInPlaceForward:
+    """Without cache, inplace=True writes the fresh-output result over x, block by block."""
+
+    @staticmethod
+    def conv_output(seed):
+        # (10, 8, 32, 32) channel rows 1040 apart, like a pitched conv output: more than one row block
+        rng = np.random.default_rng(seed)
+        buf = rng.normal(scale=4.0, size=(10, 8, 32 * 32 + 16)).astype(np.float32)
+        buf[0, 0, :4] = [0.0, -0.0, np.inf, -np.inf]
+        return buf[..., : 32 * 32].reshape(10, 8, 32, 32)
+
+    @staticmethod
+    def batch_norm():
+        bn = BatchNorm2d(8)
+        rng = np.random.default_rng(7)
+        bn.gamma.value[:] = rng.normal(size=8)
+        bn.beta.value[:] = rng.normal(size=8)
+        bn.running_mean[:] = rng.normal(size=8)
+        bn.running_var[:] = rng.uniform(0.5, 2.0, size=8)
+        return bn
+
+    @pytest.mark.parametrize("name", ["leaky", "bn_eval", "bn_train"])
+    def test_inplace_equals_fresh_output_and_only_inplace_writes(self, name):
+        calls = {
+            "leaky": lambda x, inplace: LeakyReLU(0.01).forward(x, inplace=inplace),
+            "bn_eval": lambda x, inplace: self.batch_norm().forward(x, train=False, inplace=inplace),
+            "bn_train": lambda x, inplace: self.batch_norm().forward(x, train=True, inplace=inplace),
+        }
+        x, x_own = self.conv_output(1), self.conv_output(1)
+        assert x.size * x.itemsize > layers._BLOCK_BYTES
+        with np.errstate(invalid="ignore"):  # inf - inf in the batch statistics
+            fresh = calls[name](x, False)
+            assert x.tobytes() == self.conv_output(1).tobytes()
+            owned = calls[name](x_own, True)
+        assert fresh.dtype == owned.dtype and fresh.tobytes() == owned.tobytes()
+        assert np.shares_memory(owned, x_own) and owned.tobytes() == x_own.tobytes()
+
+
+@st.composite
+def pool_inputs(draw):
+    """(n, c, h, w) float32 or float64 arrays of mixed magnitude, with +-0 and +-inf."""
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    shape = tuple(draw(st.integers(1, hi)) for hi in (3, 3, 7, 7))
+    scaled = st.builds(lambda m, e: float(dtype(m * 2.0**e)), st.floats(-1, 1), st.integers(-40, 40))
+    values = st.one_of(
+        st.sampled_from([0.0, -0.0, np.inf, -np.inf]),
+        st.floats(allow_nan=False, width=32 if dtype == np.float32 else 64),
+        scaled,  # sums of these round differently in different orders
+    )
+    return draw(arrays(dtype, shape, elements=values))
+
+
 class TestAvgPool2x2:
+    @settings(derandomize=True, deadline=None, max_examples=400)
+    @given(pool_inputs())
+    def test_bit_equal_to_mean_of_windows(self, x):
+        n, c, h, w = x.shape
+        with np.errstate(invalid="ignore", over="ignore"):  # inf - inf, and sums past the top
+            got = AvgPool2x2().forward(x)
+            padded = np.pad(x, ((0, 0), (0, 0), (0, h % 2), (0, w % 2)), mode="edge")
+            want = padded.reshape(n, c, (h + 1) // 2, 2, (w + 1) // 2, 2).mean(axis=(3, 5))
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
     def test_even_input_exact_means(self):
         x = np.arange(16, dtype=np.float32).reshape(1, 1, 4, 4)
         y = AvgPool2x2().forward(x)

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from rangeseg.errors import ConfigError, DimensionError, StaleStateError
-from rangeseg.layers import Conv2d
+from rangeseg.layers import BatchNorm2d, Conv2d, LeakyReLU
 from rangeseg.model import (
+    HeldPrefix,
     ModelConfig,
     build_model,
     count_parameters,
@@ -155,6 +156,58 @@ class TestBackward:
         np.testing.assert_array_equal(model.backward(np.ones_like(y)), gx)
         for (_, a), (_, b) in zip(model.named_params(), twin.named_params()):
             np.testing.assert_array_equal(a.grad, b.grad)
+
+
+class TestInPlaceRoute:
+    """Without cache, each unit's act and bn write into its conv output; nothing else may change."""
+
+    @pytest.fixture
+    def model(self):
+        model = build_model(micro_config(num_classes=4), seed=0)
+        model.forward(rand_input((1, 5, 16, 32), seed=1), mode="train", seed=0, cache=True)  # fills every cache
+        return model
+
+    @staticmethod
+    def state(model):
+        return [p.value.copy() for _, p in model.named_params()] + [b.copy() for _, b in model.named_buffers()]
+
+    @staticmethod
+    def assert_same(before, after):
+        assert len(before) == len(after)
+        for a, b in zip(before, after):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+    @staticmethod
+    def assert_caches_cleared(model):
+        for _, layer in model.named_layers():
+            if isinstance(layer, (LeakyReLU, BatchNorm2d)):
+                with pytest.raises(StaleStateError):
+                    layer.backward(None)
+
+    def test_eval_forward(self, model):
+        x = rand_input((2, 5, 32, 64), seed=2)  # h*w a multiple of 1024: pitched conv outputs
+        x_before, state = x.copy(), self.state(model)
+        y = model.forward(x, mode="eval")
+        self.assert_same([x_before] + state, [x] + self.state(model))
+        self.assert_caches_cleared(model)
+        cached = model.forward(x, mode="eval", cache=True)  # every layer makes a fresh array
+        self.assert_same([cached], [y])
+        model.backward(np.ones_like(cached))  # and the cached forward did fill the caches
+
+    def test_mc_forwards_sharing_a_held_prefix(self, model):
+        x = rand_input((1, 5, 32, 32), seed=3)
+        x_before, state = x.copy(), self.state(model)
+        held = HeldPrefix()
+        model.forward(x, mode="mc", rng=[np.random.default_rng(0)], held=held)
+        kept = [held.image, held.drop_input, *held.skips]
+        kept_before = [a.copy() for a in kept]
+        for rate in (None, 0.0, 0.3):
+            rngs = [np.random.default_rng(s) for s in (1, 2)]
+            model.forward(x, mode="mc", rng=rngs, rate=rate, held=held)
+        self.assert_same([x_before] + kept_before + state,
+                         [x] + [held.image, held.drop_input, *held.skips] + self.state(model))
+        assert all(a is b for a, b in zip(kept, [held.image, held.drop_input, *held.skips]))
+        self.assert_caches_cleared(model)
 
 
 class TestAccounting:

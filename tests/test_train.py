@@ -237,6 +237,17 @@ class TestReestimateBnStats:
         for name, p in model.named_params():
             np.testing.assert_array_equal(p.value, params_before[name], err_msg=name)
 
+    def test_in_place_route_matches_cached_forwards(self, trained):
+        # a cached forward keeps every layer output apart; reestimate's forwards write in place
+        data = scans(3, first=4)
+        oracle, model = copy.deepcopy(trained), copy.deepcopy(trained)
+        for scan in data:
+            oracle.forward(build_range_image(scan, PROJ).channels, mode="train", rate=0.0, cache=True)
+        reestimate_bn_stats(model, data, PROJ, passes=1)
+        expected = dict(oracle.named_buffers())
+        for name, buf in model.named_buffers():
+            assert buf.dtype == expected[name].dtype and buf.tobytes() == expected[name].tobytes(), name
+
 
 class TestEvaluatePointwise:
     def test_returns_full_confusion(self):
