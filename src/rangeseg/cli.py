@@ -400,17 +400,23 @@ def cmd_uncertainty(args):
     out_dir = _ensure_dir(args.out_dir)
 
     outputs = []
+    timings = {"projection": 0.0, "adf": 0.0, "mc": 0.0}
 
     def scan_maps():
         """Write each scan's maps; with --gt, yield its calibration item as soon as it is made."""
         for i, path in enumerate(args.scans):
             scan = _load_scan(path)
+            t0 = time.perf_counter()
             img = build_range_image(scan, proj)
+            t1 = time.perf_counter()
             stem = _stem(path)
             if adf_noise is not None:  # before the holder fills: the ADF pass sets the peak
                 aleatoric = adf_infer(model, img.channels, adf_noise, img.valid).aleatoric
+            t2 = time.perf_counter()
             held = HeldPrefix()  # the scan's prefix, shared by this MC pass and the rate search
             mc = mc_dropout_infer(model, img.channels, args.mc_trials, seed=args.seed, rate=args.rate, held=held)
+            for k, dt in zip(timings, (t1 - t0, t2 - t1, time.perf_counter() - t2)):
+                timings[k] += dt * 1e3
             _write_npy(os.path.join(out_dir, f"{stem}_epistemic.npy"), mc.epistemic)
             outputs.append(save_grayscale(os.path.join(out_dir, f"{stem}_epistemic.png"), mc.epistemic))
             if noise is not None:
@@ -422,6 +428,7 @@ def cmd_uncertainty(args):
             del held  # not kept through the next scan's ADF pass
 
     result = {"outputs": outputs, "mc_trials": args.mc_trials}
+    start = time.perf_counter()
     if search:
         # the search takes each scan as it is made, so one scan's prefix is held at a time
         best, objectives = grid_search_dropout_rate(
@@ -433,8 +440,11 @@ def cmd_uncertainty(args):
     else:
         for _ in scan_maps():
             pass
+    timings["total"] = (time.perf_counter() - start) * 1e3
+    if search:  # the search's MC passes, and the writing and label reading around them
+        timings["search"] = timings["total"] - timings["projection"] - timings["adf"] - timings["mc"]
 
-    manifest = _manifest("uncertainty", vars(args), {}, result)
+    manifest = _manifest("uncertainty", vars(args), timings, result)
     _write_json(os.path.join(out_dir, "manifest.json"), manifest)
     return 0
 

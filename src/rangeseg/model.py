@@ -131,10 +131,10 @@ class _RunState:
         """The layer's forward on an array, its ADF rule on a GaussianTensor.
 
         own: x is a buffer that nothing else reads, so a LeakyReLU or
-        BatchNorm2d without cache writes its result into it.
+        BatchNorm2d without cache, or its ADF rule, writes its result into it.
         """
         if isinstance(x, GaussianTensor):
-            return adf_forward(layer, x)
+            return adf_forward(layer, x, own=own)
         if isinstance(layer, BatchNorm2d):
             y = layer.forward(x, train=self.bn_train, cache=self.cache, inplace=own)
         elif isinstance(layer, LeakyReLU):

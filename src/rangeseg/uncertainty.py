@@ -31,8 +31,9 @@ SIGMA_FLOOR = 1e-6
 # per trial. With the prefix held, widening no longer saves prefix work: on
 # the micro net at 64x512, n=30 in groups of 1/2/3/5 took a median
 # 1.24/1.24/1.26/1.34 s (16 interleaved calls, 2-vCPU Xeon, one BLAS thread)
-# and peaked at 95/106/118/142 MB RSS, against 139 MB for adf_infer. Groups of
-# 1 are as fast and the smallest, so 2 MiB gives one micro trial at 64x512 per
+# and peaked at 95/106/118/142 MB RSS. adf_infer on one such image peaks at
+# 122 MB, 59 MB above a fresh process with the checkpoint loaded. Groups of 1
+# are as fast and the smallest, so 2 MiB gives one micro trial at 64x512 per
 # forward, and one default-config trial at 64x2048; small images still widen.
 _MC_GROUP_BYTES = 2 << 20
 

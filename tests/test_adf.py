@@ -1,8 +1,12 @@
 """Moment propagation rules versus Monte Carlo and hand-derived oracles."""
 
+import math
+
 import numpy as np
 import pytest
+from scipy.special import ndtr
 
+from rangeseg import adf, layers, model as model_mod
 from rangeseg.adf import (
     VARIANCE_FLOOR,
     GaussianTensor,
@@ -14,6 +18,7 @@ from rangeseg.adf import (
     softmax_adf,
 )
 from rangeseg.errors import InvalidDistributionError
+from rangeseg.model import build_model, micro_config
 from rangeseg.layers import (
     AvgPool2x2,
     BatchNorm2d,
@@ -39,6 +44,10 @@ class TestGaussianTensor:
     def test_negative_variance_rejected(self):
         with pytest.raises(InvalidDistributionError):
             GaussianTensor(np.zeros(3), np.array([1.0, -0.1, 1.0]))
+
+    def test_nan_variance_rejected(self):
+        with pytest.raises(InvalidDistributionError):
+            GaussianTensor(np.zeros(3), np.array([np.nan, 1.0, 2.0]))
 
     def test_variance_floor_applied(self):
         g = GaussianTensor(np.zeros(3), np.zeros(3))
@@ -212,3 +221,185 @@ class TestDispatch:
         for layer in (LeakyReLU(0.01), AvgPool2x2(), PixelShuffle(2), Softmax()):
             out = adf_forward(layer, g)
             assert (out.variance >= VARIANCE_FLOOR).all()
+
+
+# ---- the rules in whole-array form, kept as oracles for the row-block rules ----
+
+
+def oracle_floored(mean, var):
+    return GaussianTensor.trusted(mean, np.maximum(var, VARIANCE_FLOOR).astype(mean.dtype, copy=False))
+
+
+def oracle_conv(layer, g):
+    kernel = layer.kernel.value.astype(g.mean.dtype, copy=False)
+    mean = layer._correlate(g.mean, kernel, layer.bias.value.astype(kernel.dtype, copy=False))
+    return oracle_floored(mean, layer._correlate(g.variance, kernel**2))
+
+
+def oracle_batch_norm(layer, g):
+    inv_std = 1.0 / np.sqrt(layer.running_var + layer.eps)
+    scale = (layer.gamma.value * inv_std).astype(g.mean.dtype)
+    mean = (g.mean - layer.running_mean[None, :, None, None]) * scale[None, :, None, None]
+    mean += layer.beta.value[None, :, None, None]
+    return oracle_floored(mean, g.variance * (scale**2)[None, :, None, None])
+
+
+def oracle_leaky(layer, g):
+    a = layer.slope
+    mu, v = g.mean, g.variance
+    sigma = np.sqrt(v)
+    t = mu / sigma
+    cdf = ndtr(t)
+    pdf = np.exp(-0.5 * t * t) / math.sqrt(2.0 * math.pi)
+    second = mu * mu + v
+    cross = mu * sigma * pdf
+    mean = (mu * cdf + sigma * pdf) * (1.0 - a) + a * mu
+    var = second * cdf + cross + (((1.0 - cdf) * second - cross) * (a * a))
+    var -= mean * mean
+    return oracle_floored(mean, var)
+
+
+ORACLES = {**adf._RULES, Conv2d: oracle_conv, BatchNorm2d: oracle_batch_norm, LeakyReLU: oracle_leaky}
+ORACLES[AvgPool2x2] = lambda layer, g: oracle_floored(layer.forward(g.mean), layer.forward(g.variance) / 4.0)
+ORACLES[PixelShuffle] = lambda layer, g: oracle_floored(layer.forward(g.mean), layer.forward(g.variance))
+
+
+def pitched(values, pad=16):
+    """values (n, c, h, w) copied into channel rows h*w + pad apart, like a conv output."""
+    n, c, h, w = values.shape
+    buf = np.full((n, c, h * w + pad), -7.0, dtype=values.dtype)
+    buf[..., : h * w] = values.reshape(n, c, h * w)
+    return buf[..., : h * w].reshape(values.shape)
+
+
+def saturating_input(dtype, seed=0):
+    """A pitched (mean, variance) pair over several row blocks: |t| on both sides of the bound, and edge values.
+
+    The specials sit at the start of the first, a middle and the last channel row.
+    """
+    rng = np.random.default_rng(seed)
+    shape = (5, 8, 32, 64)
+    t = rng.normal(scale=30.0, size=shape)
+    var = rng.uniform(1e-4, 4.0, size=shape)
+    mean = t * np.sqrt(var)
+    sat = adf._SATURATED
+    specials = [  # (mean, variance)
+        *[(s * u, 1.0) for s in (1, -1) for u in (sat - 1e-3, sat, sat + 1e-3, 38.5, 38.6, 37.5, 9.0, 0.5)],
+        (0.0, 1.0), (-0.0, 1.0), (0.0, 0.0), (-0.0, 0.0),
+        (np.inf, 1.0), (-np.inf, 1.0), (np.inf, 0.0), (1.0, np.inf), (0.0, np.inf),
+        (np.nan, 1.0), (1.0, np.nan),
+        (1e-3, VARIANCE_FLOOR), (-1e-3, VARIANCE_FLOOR), (1e-20, VARIANCE_FLOOR), (-1e-20, 0.0),
+    ]
+    rows_m, rows_v = mean.reshape(-1, 32 * 64), var.reshape(-1, 32 * 64)
+    for r in (0, len(rows_m) // 2, len(rows_m) - 1):
+        rows_m[r, : len(specials)], rows_v[r, : len(specials)] = zip(*specials)
+    var = np.maximum(var, VARIANCE_FLOOR)  # NaN stays: the trusted wrap takes it as it is
+    return pitched(mean.astype(dtype)), pitched(var.astype(dtype))
+
+
+def assert_bit_equal(got, want):
+    assert got.mean.dtype == want.mean.dtype and got.variance.dtype == want.variance.dtype
+    assert got.mean.shape == want.mean.shape and got.variance.shape == want.variance.shape
+    assert got.mean.tobytes() == want.mean.tobytes()
+    assert got.variance.tobytes() == want.variance.tobytes()
+
+
+def rule_outputs(rule, layer, mean, var):
+    """(oracle, fresh, owned) results; checks that only the owned call wrote into its input."""
+    want = ORACLES[type(layer)](layer, GaussianTensor.trusted(mean.copy(), var.copy()))
+    m, v = mean.copy(), var.copy()
+    fresh = rule(layer, GaussianTensor.trusted(mean, var))
+    assert mean.tobytes() == m.tobytes() and var.tobytes() == v.tobytes()
+    owned = rule(layer, GaussianTensor.trusted(m, v), own=True)
+    return want, fresh, owned, (m, v)
+
+
+def batch_norm_layer(dtype, c=8, seed=4):
+    bn = BatchNorm2d(c).cast(dtype)
+    rng = np.random.default_rng(seed)
+    bn.gamma.value[:] = rng.normal(size=c)
+    bn.beta.value[:] = rng.normal(size=c)
+    bn.running_mean[:] = rng.normal(size=c)
+    bn.running_var[:] = rng.uniform(0.5, 2.0, size=c)
+    return bn
+
+
+class TestRowBlockRules:
+    """The row-block rules equal their whole-array oracles bit for bit, fresh or own."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("slope", [0.0, 0.01, 1.0])
+    def test_leaky_matches_whole_array_rule(self, dtype, slope):
+        mean, var = saturating_input(dtype)
+        assert mean.nbytes > layers._BLOCK_BYTES
+        with np.errstate(all="ignore"):  # inf * 0, inf - inf
+            want, fresh, owned, (m, v) = rule_outputs(leaky_relu_adf, LeakyReLU(slope), mean, var)
+        assert_bit_equal(fresh, want)
+        assert_bit_equal(owned, want)
+        assert np.shares_memory(owned.mean, m) and np.shares_memory(owned.variance, v)
+
+    def test_saturation_skip_is_exact_at_the_bound(self):
+        t = np.array([adf._SATURATED, np.nextafter(adf._SATURATED, np.inf), 1e300, np.inf])
+        for s in (t, -t):
+            assert (ndtr(s) == (s > 0)).all()
+            with np.errstate(over="ignore"):
+                assert (np.exp(-0.5 * s * s) == 0).all()
+
+    @pytest.mark.parametrize("dtype, param_dtype", [
+        (np.float32, np.float32), (np.float64, np.float32), (np.float64, np.float64), (np.float32, np.float64),
+    ])
+    def test_batch_norm_matches_whole_array_rule(self, dtype, param_dtype):
+        mean, var = saturating_input(dtype, seed=1)
+        with np.errstate(all="ignore"):
+            want, fresh, owned, (m, v) = rule_outputs(batch_norm_adf, batch_norm_layer(param_dtype), mean, var)
+        assert_bit_equal(fresh, want)
+        assert_bit_equal(owned, want)
+        same = want.mean.dtype == mean.dtype  # float64 statistics widen a float32 input: no write then
+        assert np.shares_memory(owned.mean, m) == same and np.shares_memory(owned.variance, v) == same
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_conv_floors_its_own_fresh_variance(self, dtype):
+        rng = np.random.default_rng(3)
+        conv = Conv2d(4, 6, k=3, dilation=2, rng=rng)
+        mean = rng.normal(size=(2, 4, 32, 64)).astype(dtype)
+        var = rng.uniform(0.0, 1.0, size=mean.shape).astype(dtype)
+        var[0, :, :8] = VARIANCE_FLOOR  # input rows at the floor: their propagated variance falls below it
+        var = np.maximum(var, VARIANCE_FLOOR)
+        want = oracle_conv(conv, GaussianTensor.trusted(mean, var))
+        assert (want.variance == VARIANCE_FLOOR).any()
+        got = conv2d_adf(conv, GaussianTensor.trusted(mean, var))
+        assert_bit_equal(got, want)
+
+
+class TestModelAdf:
+    @staticmethod
+    def micro_input(dtype):
+        rng = np.random.default_rng(12)
+        mean = rng.normal(size=(1, 5, 32, 64)).astype(dtype)
+        var = rng.uniform(0.0, 2e-3, size=mean.shape).astype(dtype)
+        var[:, :, :4] = 0.0  # empty pixels carry no noise
+        return GaussianTensor(mean, var)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_equals_whole_array_rules_and_leaves_input(self, monkeypatch, dtype):
+        model = build_model(micro_config(), seed=3)
+        g = self.micro_input(dtype)
+        before = g.mean.copy(), g.variance.copy()
+        got = model.adf(g)
+        assert g.mean.tobytes() == before[0].tobytes() and g.variance.tobytes() == before[1].tobytes()
+        monkeypatch.setattr(model_mod, "adf_forward", lambda layer, g, own=False: ORACLES[type(layer)](layer, g))
+        assert_bit_equal(got, model.adf(g))
+
+    def test_own_and_fresh_rule_calls_agree(self, monkeypatch):
+        model = build_model(micro_config(), seed=3)
+        g = self.micro_input(np.float64)
+        owned = model.adf(g)
+        owns = []
+
+        def never_own(layer, g, own=False):
+            owns.append(own)
+            return adf_forward(layer, g)
+
+        monkeypatch.setattr(model_mod, "adf_forward", never_own)
+        assert_bit_equal(owned, model.adf(g))
+        assert any(owns)

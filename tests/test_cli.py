@@ -449,7 +449,10 @@ def test_uncertainty_writes_both_maps(ws, tmp_path):
     assert (epi >= 0).all() and (ale > 0).all()
     for suffix in ("epistemic.png", "aleatoric.png"):
         assert (out / f"scan000_{suffix}").is_file()
-    assert manifest_of(out)["mc_trials"] == 3
+    m = manifest_of(out)
+    assert m["mc_trials"] == 3
+    assert set(m["timings_ms"]) == {"projection", "adf", "mc", "total"}
+    assert min(m["timings_ms"].values()) > 0
 
 
 def test_uncertainty_single_trial_gives_zero_epistemic(ws, tmp_path):
@@ -477,6 +480,10 @@ def test_uncertainty_grid_search_selects_rate(ws, tmp_path, capsys):
     m = manifest_of(out)
     assert m["selected_rate"] in (0.05, 0.3)
     assert set(m["objectives"]) == {"0.05", "0.3"}
+    timings = m["timings_ms"]
+    assert set(timings) == {"projection", "adf", "mc", "search", "total"}
+    assert timings["search"] > 0
+    assert sum(v for k, v in timings.items() if k != "total") == pytest.approx(timings["total"], abs=0.01)
 
 
 @pytest.mark.parametrize("rates, with_gt", [

@@ -301,6 +301,31 @@ class TestLeakyReLU:
         np.testing.assert_array_equal(plain, cached)
         np.testing.assert_array_equal(np.signbit(plain), np.signbit(cached))
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("slope", [0.0, 1e-30, 0.01, 0.5, 1.0])
+    def test_cached_forward_and_backward_equal_the_select(self, dtype, slope):
+        # the row-block maximum and the [slope, 1] factor against np.where, bit for bit
+        info = np.finfo(dtype)
+        sub = info.smallest_subnormal
+        special = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, sub, -sub, 3 * sub, -3 * sub,
+                   info.tiny, -info.tiny, info.max, -info.max, 1.0, -1.0]
+        rng = np.random.default_rng(8)
+        buf = rng.normal(scale=3.0, size=(5, 8, 32 * 64 + 16)).astype(dtype)  # pitched, 2+ row blocks
+        buf[:, :, : len(special)] = special
+        x = buf[..., : 32 * 64].reshape(5, 8, 32, 64)
+        gy = rng.normal(size=x.shape).astype(dtype)
+        gy.reshape(-1, 32 * 64)[::3, : len(special)] = special[::-1]
+        before = x.tobytes()
+        act = LeakyReLU(slope)
+        with np.errstate(invalid="ignore", under="ignore"):  # 0 * inf; slope * subnormal
+            y = act.forward(x, cache=True, inplace=True)
+            want_y = np.where(x >= 0, x, slope * x)
+            g = act.backward(gy)
+            want_g = np.where(x >= 0, gy, slope * gy)
+        assert x.tobytes() == before  # a cached forward never writes into x
+        assert y.dtype == want_y.dtype and y.shape == want_y.shape and y.tobytes() == want_y.tobytes()
+        assert g.dtype == want_g.dtype and g.shape == want_g.shape and g.tobytes() == want_g.tobytes()
+
     def test_backward_routes_slope(self):
         act = LeakyReLU(0.1)
         act.forward(np.array([[-1.0, 2.0]]), cache=True)
