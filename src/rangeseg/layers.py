@@ -397,9 +397,7 @@ def space_to_depth(x, r):
 class ChannelDropout(Layer):
     """Spatial dropout: whole channels are zeroed, survivors scaled by 1/(1-p).
 
-    Identity when inactive, so eval-mode inference needs no rescaling. rng may
-    be a sequence of k generators, each drawing one mask row: a batch-1 input
-    then comes out as k rows, one per generator (MC trials of one image).
+    Identity when inactive, so eval-mode inference needs no rescaling.
     """
 
     def __init__(self, p=0.2):
@@ -413,10 +411,7 @@ class ChannelDropout(Layer):
             return x
         if rng is None:
             raise ConfigError("active dropout needs an rng")
-        if isinstance(rng, (list, tuple)):
-            draws = np.concatenate([g.random((1, x.shape[1])) for g in rng])
-        else:
-            draws = rng.random((x.shape[0], x.shape[1]))
+        draws = rng.random((x.shape[0], x.shape[1]))
         scale = ((draws >= p).astype(x.dtype) / np.asarray(1.0 - p, dtype=x.dtype))[:, :, None, None]
         self._cache = scale if cache else None
         return x * scale

@@ -108,13 +108,12 @@ class _RunState:
     op can still read it, so the tape holds no arrays.
     """
 
-    __slots__ = ("bn_train", "drop_active", "rng", "trials", "rate", "cache", "held", "tape", "nodes")
+    __slots__ = ("bn_train", "drop_active", "rng", "rate", "cache", "held", "tape", "nodes")
 
     def __init__(self, bn_train, drop_active, rng, rate, cache, record=None, held=None):
         self.bn_train = bn_train
         self.drop_active = drop_active
         self.rng = rng
-        self.trials = isinstance(rng, (list, tuple))  # one generator per MC trial of one image
         self.rate = rate
         self.cache = cache
         self.held = held  # a HeldPrefix: the traversal fills it, or starts from it
@@ -148,7 +147,6 @@ class _RunState:
     def cat(self, parts):
         """Channel concatenation of arrays, or of Gaussians' means and variances.
 
-        A forward over several MC trials broadcasts batch-1 skips to the widened batch.
         Gaussian parts are rule outputs, already floored, and so are their
         concatenation and (in add) their sum: neither is checked again.
         """
@@ -157,8 +155,6 @@ class _RunState:
                 np.concatenate([p.mean for p in parts], axis=1),
                 np.concatenate([p.variance for p in parts], axis=1),
             )
-        if self.trials:
-            parts = [np.broadcast_to(p, parts[0].shape[:1] + p.shape[1:]) for p in parts]
         edges = np.cumsum([p.shape[1] for p in parts[:-1]]).tolist()
         return self._record(np.concatenate(parts, axis=1), lambda g: np.split(g, edges, axis=1), *parts)
 
@@ -175,9 +171,9 @@ class HeldPrefix:
     The first Model.forward(x, mode="mc", held=h) runs the whole network and
     keeps what the layers from the first ChannelDropout layer on read: that
     layer's input and the pooled skips taken before it. Every later forward
-    given h starts there, at any rate (0 included) and any number of
-    generators, with bit-equal results. The split is at the first dropout
-    layer, active or not; a network without one keeps nothing and runs whole.
+    given h starts there, at any rate (0 included) and with any generator,
+    with bit-equal results. The split is at the first dropout layer, active
+    or not; a network without one keeps nothing and runs whole.
     h keeps a copy of its image and refuses any other.
     """
 
@@ -403,14 +399,8 @@ class Model(_Block):
 
         mode: 'train' (batch-stat BN, dropout on), 'eval' (running-stat BN,
         dropout off), 'mc' (running-stat BN, dropout on). 3D input gets a
-        singleton batch axis and a 3D output.
-
-        In 'mc' mode rng may be a sequence of k generators for one image: the
-        result is (k, num_classes, h, w), row i equal to a forward with
-        rng=rng[i] alone. Everything before the first active dropout runs
-        once at batch 1; that dropout draws one mask row per generator and
-        widens the batch to k, and skips taken before it are broadcast
-        against the k rows. With no active dropout the one output is repeated.
+        singleton batch axis and a 3D output. rng, a numpy Generator (else
+        default_rng(seed)), draws the dropout masks.
 
         held, a HeldPrefix, shares the layers before the first dropout layer
         across the 'mc' forwards of one image: the first runs them, later
@@ -422,15 +412,11 @@ class Model(_Block):
             raise ConfigError("a held prefix serves mode='mc' forwards without cache")
         if rate is not None:
             check_rate(rate)  # here too, for a network with no dropout layer
-        trials = isinstance(rng, (list, tuple))
-        squeeze = x.ndim == 3 and not trials
+        if rng is not None and not isinstance(rng, np.random.Generator):
+            raise ConfigError(f"rng must be a numpy Generator, got {type(rng).__name__}")
+        squeeze = x.ndim == 3
         x = self._check_input(np.asarray(x))
-        if trials:
-            if mode != "mc" or not rng:
-                raise ConfigError("a sequence of generators needs mode='mc' and at least one generator")
-            if len(x) != 1:
-                raise DimensionError(f"a sequence of generators takes one image, got a batch of {len(x)}")
-        elif rng is None and seed is not None:
+        if rng is None and seed is not None:
             rng = np.random.default_rng(seed)
         elif rng is None and mode != "eval" and any(
             (layer.p if rate is None else rate) > 0
@@ -440,12 +426,10 @@ class Model(_Block):
         if held is not None:
             held._bind(x)
         rs = _RunState(mode == "train", mode in ("train", "mc"), rng, rate, cache,
-                       record=x if cache and not trials else None, held=held)
+                       record=x if cache else None, held=held)
         self._tape = None
         probs = self._run(x, rs)
         self._tape = rs.tape
-        if trials and len(probs) < len(rng):
-            probs = np.repeat(probs, len(rng), axis=0)
         return probs[0] if squeeze else probs
 
     def _run(self, h, rs):
@@ -480,7 +464,7 @@ class Model(_Block):
         """
         tape = self._tape
         if tape is None:
-            raise StaleStateError("Model.backward needs a cache-enabled forward with one generator")
+            raise StaleStateError("Model.backward needs a cache-enabled forward")
         parts = [[] for _ in tape] + [[g_probs[None] if g_probs.ndim == 3 else g_probs]]
         for node in range(len(tape), -1, -1):
             g = parts[node].pop()  # the replay meets the readers last first

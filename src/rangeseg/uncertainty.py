@@ -2,11 +2,10 @@
 
 Epistemic: n stochastic forward passes with dropout kept active (batch norm
 stays in eval statistics), per-pixel value = sum over classes of the
-population variance of the per-trial probabilities. The trials go to
-Model.forward a group at a time, all sharing one HeldPrefix: the image's
-first forward runs the layers before the first dropout layer and every
-later one, at any rate, starts from what it kept. Results are bit-equal to
-one forward per trial. Aleatoric: the input is wrapped as a Gaussian with
+population variance of the per-trial probabilities. Each trial is one
+Model.forward, and all share one HeldPrefix: the image's first forward runs
+the layers before the first dropout layer and every later one, at any rate,
+starts from what it kept. Aleatoric: the input is wrapped as a Gaussian with
 per-channel sensor noise and pushed through the ADF rules; per-pixel value =
 sum over classes of the output variance. The grid search picks the dropout
 rate minimizing a Gaussian negative log-likelihood of the one-hot labels
@@ -20,22 +19,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .adf import GaussianTensor
-from .errors import ConfigError, DimensionError, InvalidDistributionError, InvalidTrialsError
+from .errors import ConfigError, DimensionError, InvalidDistributionError, InvalidTargetError, InvalidTrialsError
 from .layers import check_rate
 from .model import HeldPrefix, Model
 from .projection import CHANNELS
 
 SIGMA_FLOOR = 1e-6
-# Trials per Model.forward in mc_dropout_infer, counting one float64
-# base-width feature map per trial: the widened suffix holds a few such maps
-# per trial. With the prefix held, widening no longer saves prefix work: on
-# the micro net at 64x512, n=30 in groups of 1/2/3/5 took a median
-# 1.24/1.24/1.26/1.34 s (16 interleaved calls, 2-vCPU Xeon, one BLAS thread)
-# and peaked at 95/106/118/142 MB RSS. adf_infer on one such image peaks at
-# 122 MB, 59 MB above a fresh process with the checkpoint loaded. Groups of 1
-# are as fast and the smallest, so 2 MiB gives one micro trial at 64x512 per
-# forward, and one default-config trial at 64x2048; small images still widen.
-_MC_GROUP_BYTES = 2 << 20
 
 
 @dataclass(frozen=True)
@@ -80,27 +69,20 @@ def _zeros_like_map(probs):
 def mc_dropout_infer(model: Model, x: np.ndarray, n: int, seed=0, rate=None, held=None) -> UncertaintyMap:
     """n dropout-active forward passes; epistemic variance of the softmax.
 
-    Trial i draws its masks from default_rng(SeedSequence(seed).spawn(n)[i]);
-    each Model.forward call gets a group of these generators and widens the
-    batch to the group at the first dropout. held shares x's prefix with
-    other calls on x (a fresh HeldPrefix if None). The trials are stored in
-    the forward's dtype and reduced in float64 a trial at a time, in trial
-    order, which is what numpy's mean and var over the trial axis do.
+    Trial i is one Model.forward whose masks come from
+    default_rng(SeedSequence(seed).spawn(n)[i]). held shares x's prefix with
+    other calls on x (a fresh HeldPrefix if None). The trials are kept in the
+    forward's dtype and reduced in float64 a trial at a time, in trial order,
+    which is what numpy's mean and var over the trial axis do.
     """
-    if n < 1:
-        raise InvalidTrialsError("need at least one trial")
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+        raise InvalidTrialsError(f"need a whole number of trials >= 1, got {n!r}")
     x = np.asarray(x)
     if x.ndim != 3:
         raise DimensionError(f"expected one (channels, h, w) image, got {x.shape}")
-    rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(n)]
-    group = max(1, _MC_GROUP_BYTES // (8 * model.cfg.base_channels * x.shape[1] * x.shape[2]))
     held = HeldPrefix() if held is None else held
-    trials = None
-    for i in range(0, n, group):
-        probs = model.forward(x, mode="mc", rng=rngs[i : i + group], rate=rate, held=held)
-        if trials is None:
-            trials = np.empty((n,) + probs.shape[1:], dtype=probs.dtype)
-        trials[i : i + group] = probs
+    trials = [model.forward(x, mode="mc", rng=np.random.default_rng(s), rate=rate, held=held)
+              for s in np.random.SeedSequence(seed).spawn(n)]
     mean = trials[0].astype(np.float64)
     for t in trials[1:]:
         mean += t
@@ -127,7 +109,7 @@ def adf_infer(model: Model, x: np.ndarray, noise: SensorNoiseModel, valid=None) 
         raise DimensionError(f"expected one (channels, h, w) image, got {x.shape}")
     if len(noise.variances) != x.shape[0]:
         raise DimensionError(f"noise model has {len(noise.variances)} channels, image {x.shape[0]}")
-    var = np.broadcast_to(noise.variances[:, None, None], x.shape).copy()
+    var = np.full(x.shape, noise.variances[:, None, None])
     if valid is not None:
         _check_pixels(x.shape[1:], valid=valid)
         var *= np.asarray(valid, dtype=np.float64)[None]  # empty pixels carry no noise
@@ -145,17 +127,25 @@ def default_rate_grid() -> np.ndarray:
 
 
 def nll_objective(mean_prediction, sigma_tot, targets, valid) -> float:
-    """Sum over valid pixels of 1/2 log(sigma) + ||onehot - pred||^2 / (2 sigma)."""
+    """Sum over valid pixels of 1/2 log(sigma) + ||onehot - pred||^2 / (2 sigma).
+
+    A valid pixel's target must lie in [0, C) (InvalidTargetError otherwise);
+    targets on invalid pixels are ignored.
+    """
     mean_prediction = np.asarray(mean_prediction)
     if mean_prediction.ndim != 3:
         raise DimensionError(f"expected (C, h, w) mean prediction, got {mean_prediction.shape}")
     _check_pixels(mean_prediction.shape[1:], sigma_tot=sigma_tot, targets=targets, valid=valid)
     c = mean_prediction.shape[0]
-    onehot = np.eye(c)[np.asarray(targets)]            # (h, w, C)
+    valid = np.asarray(valid, dtype=bool)
+    targets = np.where(valid, targets, 0)
+    if ((targets < 0) | (targets >= c)).any():
+        raise InvalidTargetError(f"targets on valid pixels must lie in [0, {c})")
+    onehot = np.eye(c)[targets]                         # (h, w, C)
     resid = ((onehot.transpose(2, 0, 1) - mean_prediction) ** 2).sum(axis=0)
     sigma = np.maximum(sigma_tot, SIGMA_FLOOR)
     per_pixel = 0.5 * np.log(sigma) + resid / (2.0 * sigma)
-    return float(per_pixel[np.asarray(valid, dtype=bool)].sum())
+    return float(per_pixel[valid].sum())
 
 
 def grid_search_dropout_rate(model: Model, calibration, rates, n_trials: int = 30, seed: int = 0):

@@ -102,11 +102,12 @@ class TestDeterminism:
     def test_missing_generator_raises_before_any_buffer_moves(self):
         model = build_model(micro_config(num_classes=4), seed=0)
         before = {n: b.copy() for n, b in model.named_buffers()}
-        for mode in ("train", "mc"):
-            with pytest.raises(ConfigError):
-                model.forward(rand_input((1, 5, 32, 64)), mode=mode)
+        for rng in (None, 5, [np.random.default_rng(0)]):  # none, or not a numpy Generator
+            for mode in ("train", "mc"):
+                with pytest.raises(ConfigError):
+                    model.forward(rand_input((1, 5, 32, 64)), mode=mode, rng=rng)
         for n, b in model.named_buffers():
-            np.testing.assert_array_equal(b, before[n])
+            assert b.tobytes() == before[n].tobytes()
         model.forward(rand_input((1, 5, 32, 64)), mode="train", rate=0.0)  # rate 0 draws nothing
 
     @pytest.mark.parametrize("rate", [1.0, 1.5, -0.5, float("nan")])
@@ -135,15 +136,6 @@ class TestBackward:
         y = model.forward(x, mode="train", seed=0)
         with pytest.raises(StaleStateError):
             model.backward(np.ones_like(y))
-
-    def test_mc_forward_over_trials_records_no_tape(self):
-        model = build_model(micro_config(num_classes=4), seed=0)
-        x = rand_input((1, 5, 16, 32))
-        model.forward(x, mode="train", seed=0, cache=True)
-        rngs = [np.random.default_rng(s) for s in (1, 2)]
-        y = model.forward(x, mode="mc", rng=rngs, cache=True)
-        with pytest.raises(StaleStateError):
-            model.backward(np.ones_like(y[:1]))
 
     def test_deep_copy_replays_onto_its_own_layers(self):
         model = build_model(micro_config(num_classes=4), seed=0)
@@ -198,12 +190,12 @@ class TestInPlaceRoute:
         x = rand_input((1, 5, 32, 32), seed=3)
         x_before, state = x.copy(), self.state(model)
         held = HeldPrefix()
-        model.forward(x, mode="mc", rng=[np.random.default_rng(0)], held=held)
+        model.forward(x, mode="mc", rng=np.random.default_rng(0), held=held)
         kept = [held.image, held.drop_input, *held.skips]
         kept_before = [a.copy() for a in kept]
         for rate in (None, 0.0, 0.3):
-            rngs = [np.random.default_rng(s) for s in (1, 2)]
-            model.forward(x, mode="mc", rng=rngs, rate=rate, held=held)
+            for s in (1, 2):
+                model.forward(x, mode="mc", rng=np.random.default_rng(s), rate=rate, held=held)
         self.assert_same([x_before] + kept_before + state,
                          [x] + [held.image, held.drop_input, *held.skips] + self.state(model))
         assert all(a is b for a, b in zip(kept, [held.image, held.drop_input, *held.skips]))

@@ -1,7 +1,5 @@
 """MC-dropout and noise-propagation uncertainty maps, and rate calibration."""
 
-from types import SimpleNamespace
-
 import numpy as np
 import pytest
 
@@ -10,6 +8,7 @@ from rangeseg.errors import (
     ConfigError,
     DimensionError,
     InvalidDistributionError,
+    InvalidTargetError,
     InvalidTrialsError,
     StaleStateError,
 )
@@ -38,18 +37,14 @@ def image():
 class FlipFlopModel:
     """Deterministic 2-class stand-in alternating between two probability maps.
 
-    A sequence rng asks for one trial per generator, as Model.forward does;
-    a held prefix is accepted and ignored.
+    The rng and a held prefix are accepted and ignored.
     """
 
     def __init__(self, maps):
         self.maps = maps
         self.calls = 0
-        self.cfg = SimpleNamespace(num_classes=maps[0].shape[0], base_channels=1)
 
     def forward(self, x, mode="eval", rng=None, seed=None, rate=None, cache=False, held=None):
-        if isinstance(rng, (list, tuple)):
-            return np.stack([self.forward(x) for _ in rng])
         out = self.maps[self.calls % len(self.maps)]
         self.calls += 1
         return out
@@ -82,6 +77,16 @@ class TestMcDropout:
     def test_needs_at_least_one_trial(self, model, image):
         with pytest.raises(InvalidTrialsError):
             mc_dropout_infer(model, image, n=0)
+
+    @pytest.mark.parametrize("n", [2.0, True, np.float64(2), "2"], ids=["float", "bool", "np-float", "str"])
+    def test_non_integer_trials_rejected(self, model, image, n):
+        with pytest.raises(InvalidTrialsError):
+            mc_dropout_infer(model, image, n=n)
+
+    def test_numpy_integer_trials_accepted(self, model, image):
+        a = mc_dropout_infer(model, image, n=np.int64(2), seed=4)
+        b = mc_dropout_infer(model, image, n=2, seed=4)
+        np.testing.assert_array_equal(a.epistemic, b.epistemic)
 
     def test_needs_single_image(self, model, image):
         with pytest.raises(DimensionError):
@@ -141,12 +146,6 @@ TRIAL_CONFIGS = {
 }
 
 
-def set_group(monkeypatch, model, x, group):
-    """Make mc_dropout_infer put `group` trials of x in each forward."""
-    unit = 8 * model.cfg.base_channels * x.shape[1] * x.shape[2]
-    monkeypatch.setattr(uncertainty, "_MC_GROUP_BYTES", group * unit)
-
-
 def spy_batches(monkeypatch, model, name="context0.short.conv"):
     """The batch of every forward of one named layer, in call order."""
     layer = dict(model.named_layers())[name]
@@ -168,6 +167,8 @@ def per_trial_forwards(model, x, n, seed, rate):
 
 
 class TestBatchedTrials:
+    """mc_dropout_infer's n trials, one Model.forward each, against the trials run by hand."""
+
     @pytest.fixture(scope="class", params=sorted(TRIAL_CONFIGS))
     def case(self, request):
         cfg, shape = TRIAL_CONFIGS[request.param]
@@ -175,11 +176,14 @@ class TestBatchedTrials:
         return build_model(cfg, seed=2), x
 
     @pytest.mark.parametrize("rate", [None, 0.0, 0.3])
-    @pytest.mark.parametrize("n, group", [(1, None), (7, None), (7, 3), (30, None), (30, 1), (30, 3)])
-    def test_matches_per_trial_loop(self, case, rate, n, group, monkeypatch):
+    @pytest.mark.parametrize("n, prior", [(1, None), (7, None), (7, 3), (30, None), (30, 1), (30, 3)])
+    def test_matches_per_trial_loop(self, case, rate, n, prior, monkeypatch):
         model, x = case
-        if group is not None:  # a budget of `group` trials per forward, e.g. groups of 3, 3, 1 for n=7
-            set_group(monkeypatch, model, x, group)
+        held = None
+        if prior is not None:  # a holder that `prior` earlier calls, at other rates, have filled
+            held = HeldPrefix()
+            for r in (0.1, 0.0, 0.5)[:prior]:
+                mc_dropout_infer(model, x, 1, seed=9, rate=r, held=held)
         calls = []
         forward = model.forward
 
@@ -188,11 +192,12 @@ class TestBatchedTrials:
             return forward(*args, **kwargs)
 
         monkeypatch.setattr(model, "forward", counted)
-        out = mc_dropout_infer(model, x, n, seed=5, rate=rate)
-        group = group or n
-        assert [len(kw["rng"]) for kw in calls] == [min(group, n - i) for i in range(0, n, group)]
-        assert len({id(kw["held"]) for kw in calls}) == 1  # one holder per call
+        out = mc_dropout_infer(model, x, n, seed=5, rate=rate, held=held)
         monkeypatch.undo()
+        assert len(calls) == n
+        assert all(isinstance(kw["rng"], np.random.Generator) for kw in calls)
+        holders = {id(kw["held"]) for kw in calls}  # one holder per call, the caller's if given
+        assert len(holders) == 1 and (held is None or holders == {id(held)})
         trials = per_trial_forwards(model, x, n, seed=5, rate=rate)
         np.testing.assert_array_equal(out.mean_prediction, trials.mean(axis=0))
         np.testing.assert_array_equal(out.epistemic, trials.var(axis=0).sum(axis=0))
@@ -208,28 +213,25 @@ class TestBatchedTrials:
                     batches.setdefault(name, []).append(len(x))
                     return forward(x, cache=cache)
                 monkeypatch.setattr(layer, "forward", spy)
-        rngs = [np.random.default_rng(c) for c in np.random.SeedSequence(5).spawn(4)]
-        probs = model.forward(x, mode="mc", rng=rngs)
+        out = mc_dropout_infer(model, x, 4, seed=5)
         monkeypatch.undo()
         assert len(batches) == sum(isinstance(layer, Conv2d) for _, layer in model.named_layers())
         prefix = ("context", "enc0.", "enc1.block.")
         for name, seen in batches.items():
-            assert seen == [1 if name.startswith(prefix) else 4], name
-        np.testing.assert_array_equal(probs, per_trial_forwards(model, x, 4, seed=5, rate=None))
+            assert seen == [1] * (1 if name.startswith(prefix) else 4), name
+        trials = per_trial_forwards(model, x, 4, seed=5, rate=None)
+        np.testing.assert_array_equal(out.mean_prediction, trials.mean(axis=0))
 
     @pytest.mark.parametrize("mode", ["train", "eval"])
     def test_sequence_rng_needs_mc_mode(self, model, image, mode):
+        # a sequence of generators is refused in every mode, these included
         with pytest.raises(ConfigError):
             model.forward(image, mode=mode, rng=[np.random.default_rng(0)])
 
-    def test_sequence_rng_needs_one_image(self, model, image):
-        with pytest.raises(DimensionError):
-            model.forward(np.stack([image, image]), mode="mc", rng=[np.random.default_rng(0)])
-
     @pytest.mark.parametrize("mode", ["train", "eval", "mc"])
     def test_mismatched_skip_batch_raises(self, model, image, mode, monkeypatch):
-        # only a forward with a sequence rng broadcasts a batch-1 skip; in any
-        # other forward a skip whose batch differs from the decoder's is a fault
+        # no forward broadcasts a skip: in every mode, a skip whose batch
+        # differs from the decoder's is a fault
         stage = next(st for st in model.encoder if st.pool is not None)
         run = stage.run
 
@@ -244,19 +246,21 @@ class TestBatchedTrials:
 
 class TestHeldPrefix:
     @pytest.mark.parametrize("n", [1, 7, 30])
-    @pytest.mark.parametrize("group", [1, 3, "n"])
-    def test_prefix_runs_once_per_call(self, model, image, n, group, monkeypatch):
-        set_group(monkeypatch, model, image, n if group == "n" else group)
-        batches = spy_batches(monkeypatch, model)
+    @pytest.mark.parametrize("m", [1, 3, "n"])
+    def test_prefix_runs_once_per_call(self, model, image, n, m, monkeypatch):
+        # two calls of n and m trials, each with its own holder
+        m = n if m == "n" else m
+        first = spy_batches(monkeypatch, model)
+        head = spy_batches(monkeypatch, model, "head")
         mc_dropout_infer(model, image, n, seed=1)
-        mc_dropout_infer(model, image, n, seed=2, rate=0.0)
-        assert batches == [1, 1]
+        mc_dropout_infer(model, image, m, seed=2, rate=0.0)
+        assert first == [1, 1]
+        assert head == [1] * (n + m)
 
     def test_search_runs_prefix_once_per_image(self, model, monkeypatch):
         rng = np.random.default_rng(6)
         cal = [(rng.normal(size=(5, 16, 32)).astype(np.float32), rng.integers(0, 4, size=(16, 32)),
                 np.ones((16, 32), dtype=bool), np.full((16, 32), 0.01)) for _ in range(2)]
-        set_group(monkeypatch, model, cal[0][0], 1)
         batches = spy_batches(monkeypatch, model)
         grid_search_dropout_rate(model, cal, [0.05, 0.2, 0.45], n_trials=3)
         assert batches == [1, 1]
@@ -264,23 +268,23 @@ class TestHeldPrefix:
     def test_serves_every_rate_bit_equal(self, model, image):
         held = HeldPrefix()
         for rate in (0.3, 0.0, None, 0.05):
-            rngs = [np.random.default_rng(c) for c in np.random.SeedSequence(8).spawn(3)]
-            fresh = [np.random.default_rng(c) for c in np.random.SeedSequence(8).spawn(3)]
-            np.testing.assert_array_equal(model.forward(image, mode="mc", rng=rngs, rate=rate, held=held),
-                                          model.forward(image, mode="mc", rng=fresh, rate=rate))
+            for c in np.random.SeedSequence(8).spawn(3):
+                np.testing.assert_array_equal(
+                    model.forward(image, mode="mc", rng=np.random.default_rng(c), rate=rate, held=held),
+                    model.forward(image, mode="mc", rng=np.random.default_rng(c), rate=rate))
 
     def test_refusals_are_typed_and_leave_it_usable(self, model, image):
         held = HeldPrefix()
-        first = model.forward(image, mode="mc", rng=[np.random.default_rng(0)], held=held)
+        first = model.forward(image, mode="mc", rng=np.random.default_rng(0), held=held)
         for other in (image + 1, image.astype(np.float64), image[:, :, :16]):
             with pytest.raises(StaleStateError):
-                model.forward(other, mode="mc", rng=[np.random.default_rng(0)], held=held)
+                model.forward(other, mode="mc", rng=np.random.default_rng(0), held=held)
         for mode in ("train", "eval"):
             with pytest.raises(ConfigError):
                 model.forward(image, mode=mode, rng=np.random.default_rng(0), held=held)
         with pytest.raises(ConfigError):
             model.forward(image, mode="mc", rng=np.random.default_rng(0), cache=True, held=held)
-        again = model.forward(image, mode="mc", rng=[np.random.default_rng(0)], held=held)
+        again = model.forward(image, mode="mc", rng=np.random.default_rng(0), held=held)
         np.testing.assert_array_equal(again, first)
 
 
@@ -355,6 +359,32 @@ class TestObjectiveAndGrid:
                            np.zeros((1, 1), dtype=int), np.ones((1, 1), dtype=bool))
         assert v1 == pytest.approx(v2, rel=1e-12)
 
+    @pytest.mark.parametrize("target", [-1, 4])
+    def test_nll_target_outside_classes_on_valid_pixel_rejected(self, target):
+        # -1 would otherwise index the last one-hot row and score as class 3
+        with pytest.raises(InvalidTargetError):
+            nll_objective(np.full((4, 1, 1), 0.25), np.ones((1, 1)), np.full((1, 1), target),
+                          np.ones((1, 1), dtype=bool))
+
+    @pytest.mark.parametrize("target", [-1, 4, 255])
+    def test_nll_ignores_targets_on_invalid_pixels(self, target):
+        pred = np.random.default_rng(1).dirichlet(np.ones(4), size=(1, 2)).transpose(2, 0, 1)
+        sigma = np.full((1, 2), 0.3)
+        valid = np.array([[True, False]])
+        v = nll_objective(pred, sigma, np.array([[2, target]]), valid)
+        assert v == nll_objective(pred, sigma, np.array([[2, 0]]), valid)
+
+    def test_nll_in_range_targets_match_whole_image_one_hot(self):
+        rng = np.random.default_rng(2)
+        pred = rng.dirichlet(np.ones(4), size=(16, 32)).transpose(2, 0, 1)
+        sigma = rng.uniform(0.0, 0.5, size=(16, 32))
+        targets = rng.integers(0, 4, size=(16, 32))
+        valid = rng.random((16, 32)) < 0.7
+        # the formula over every pixel, one-hot by indexing, then summed over the valid ones
+        onehot = np.eye(4)[targets].transpose(2, 0, 1)
+        s = np.maximum(sigma, uncertainty.SIGMA_FLOOR)
+        per_pixel = 0.5 * np.log(s) + ((onehot - pred) ** 2).sum(axis=0) / (2.0 * s)
+        assert nll_objective(pred, sigma, targets, valid) == float(per_pixel[valid].sum())
 
     @pytest.mark.parametrize("arg", ["sigma_tot", "targets", "valid"])
     @pytest.mark.parametrize("shape", [(1, 32), (32,), (32, 16)])
