@@ -26,7 +26,7 @@ from .config import (
     model_config_from_dict,
     train_config_from_dict,
 )
-from .errors import ConfigError, InvalidPointError, RangesegError, ScanFormatError
+from .errors import ConfigError, CorruptCheckpointError, InvalidPointError, RangesegError, ScanFormatError
 from .fileio import write_atomic
 from .imageio import save_grayscale, save_labels
 from .layers import check_rate
@@ -99,10 +99,17 @@ def _manifest(command, args_dict, timings_ms, extra=None):
 def _proj_from_args(args, extras=None):
     """Projection: CLI flags (degrees) override checkpoint extras (radians) override defaults."""
     extras, d = extras or {}, ProjectionConfig()
-    w = args.width if args.width is not None else int(extras.get("proj.w", d.w))
-    h = args.height if args.height is not None else int(extras.get("proj.h", d.h))
-    up = math.radians(args.fov_up) if args.fov_up is not None else float(extras.get("proj.fov_up", d.fov_up))
-    down = math.radians(args.fov_down) if args.fov_down is not None else float(extras.get("proj.fov_down", d.fov_down))
+
+    def extra(key, kind, default):
+        try:
+            return kind(extras.get(key, default))
+        except ValueError:
+            raise CorruptCheckpointError(f"checkpoint extra {key}={extras[key]!r} is not {kind.__name__}") from None
+
+    w = args.width if args.width is not None else extra("proj.w", int, d.w)
+    h = args.height if args.height is not None else extra("proj.h", int, d.h)
+    up = math.radians(args.fov_up) if args.fov_up is not None else extra("proj.fov_up", float, d.fov_up)
+    down = math.radians(args.fov_down) if args.fov_down is not None else extra("proj.fov_down", float, d.fov_down)
     return ProjectionConfig(w=w, h=h, fov_up=up, fov_down=down)
 
 

@@ -6,9 +6,9 @@ when forward is called with cache=True; backward without a cache raises.
 The model records these calls on a tape and replays their backwards in reverse.
 
 No layer writes into its input, with one exception: LeakyReLU and BatchNorm2d
-called with inplace=True and without cache may write their result over x. The
-caller then owns x: nothing else reads it afterwards. The model passes
-inplace=True only for a conv output inside its conv -> act -> bn unit.
+called with inplace=True may write over x. The caller then owns x: nothing else
+reads it afterwards. The model passes inplace=True only for a conv output inside
+its conv -> act -> bn unit (Conv2d caches its input, not this output).
 """
 
 from __future__ import annotations
@@ -93,12 +93,12 @@ _PITCH_PAD = 16
 _BAND_MACS = 1 << 22
 
 
-# LeakyReLU and BatchNorm2d without cache run over blocks of about
-# _BLOCK_BYTES of their input's channel rows, so that every op after a block's
-# first finds the block in L2 rather than in DRAM. Per default-config eval forward
-# at 64x2048 (2-vCPU Xeon, one BLAS thread) this took LeakyReLU from about 205
-# to 95 ms and BatchNorm2d from about 225 to 140 ms; 64 KiB blocks did as well
-# and 1 MiB ones worse. Each element still sees the same ops in the same order.
+# LeakyReLU and BatchNorm2d run over blocks of about _BLOCK_BYTES of their
+# input's channel rows, so that every op after a block's first finds the block
+# in L2 rather than in DRAM. Per default-config eval forward at 64x2048
+# (2-vCPU Xeon, one BLAS thread) this took LeakyReLU from about 205 to 95 ms
+# and BatchNorm2d from about 225 to 140 ms; 64 KiB blocks did as well and
+# 1 MiB ones worse. Each element still sees the same ops in the same order.
 _BLOCK_BYTES = 1 << 18
 
 
@@ -247,7 +247,7 @@ class BatchNorm2d(Layer):
         self.running_var[...] = (1 - m) * self.running_var + m * var
 
     def forward(self, x, train=False, cache=False, inplace=False):
-        """inplace: no one else reads x, so without cache the result may overwrite it."""
+        """inplace: no one else reads x, so xhat, and the result where it shares xhat's buffer, may overwrite it."""
         if x.shape[1] != self.c:
             raise DimensionError(f"batch norm expects {self.c} channels, got {x.shape[1]}")
         if train:
@@ -260,21 +260,18 @@ class BatchNorm2d(Layer):
             var = self.running_var.astype(x.dtype)
         inv_std = 1.0 / np.sqrt(var + self.eps)
         gamma, beta = self.gamma.value, self.beta.value
-        if cache or np.result_type(x, gamma, beta) != x.dtype:
-            xhat = x - mean[None, :, None, None]
-            xhat *= inv_std[None, :, None, None]
-            self._cache = (xhat, inv_std, train) if cache else None
-            return gamma[None, :, None, None] * xhat + beta[None, :, None, None]
-        self._cache = None
         rows, blocks = _row_blocks(x)
-        out = rows if inplace else np.empty_like(rows)
+        xhat = rows if inplace else np.empty_like(rows)  # in x's dtype
+        dtype = np.result_type(x, gamma, beta)
+        out = xhat if not cache and dtype == x.dtype else np.empty(rows.shape, dtype)
         per_row = [np.tile(v, len(x))[:, None] for v in (mean, inv_std, gamma, beta)]
         for b in blocks:
             m, s, g, t = (v[b] for v in per_row)
-            r = np.subtract(rows[b], m, out=out[b])
+            r = np.subtract(rows[b], m, out=xhat[b])
             r *= s
-            r *= g
+            r = np.multiply(r, g, out=out[b])
             r += t
+        self._cache = (xhat.reshape(x.shape), inv_std, train) if cache else None
         return out.reshape(x.shape)
 
     def backward(self, gy):
@@ -300,16 +297,11 @@ class LeakyReLU(Layer):
         self._cache = None
 
     def forward(self, x, cache=False, inplace=False):
-        """inplace: no one else reads x, so without cache the result may overwrite it."""
+        """inplace: no one else reads x, so the result may overwrite it (the mask is taken first)."""
         self._cache = x >= 0 if cache else None
         if self.slope == 0:  # +inf * 0 is NaN, so max(x, 0*x) is not the select here
             return np.where(x >= 0, x, self.slope * x)
         # for 0 < slope <= 1 the larger of x and slope*x is that select, bit for bit
-        if cache:
-            # whole-array, not in row blocks: in row blocks the train benchmark's peak
-            # RSS rose from 727 to 750 MB at equal speed, against 734 MB in this form
-            # (medians of 5 interleaved runs each, 2-vCPU Xeon)
-            return np.maximum(x, self.slope * x)
         rows, blocks = _row_blocks(x)
         out = rows if inplace else np.empty_like(rows)
         scaled = np.empty_like(rows[blocks[0]] if blocks else rows)
@@ -418,7 +410,7 @@ class ChannelDropout(Layer):
 
     def backward(self, gy):
         scale = self._take_cache()
-        return gy if scale is None or np.isscalar(scale) else gy * scale
+        return gy if np.isscalar(scale) else gy * scale
 
 
 class Softmax(Layer):

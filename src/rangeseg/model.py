@@ -130,7 +130,7 @@ class _RunState:
         """The layer's forward on an array, its ADF rule on a GaussianTensor.
 
         own: x is a buffer that nothing else reads, so a LeakyReLU or
-        BatchNorm2d without cache, or its ADF rule, writes its result into it.
+        BatchNorm2d, or its ADF rule, writes its result into it.
         """
         if isinstance(x, GaussianTensor):
             return adf_forward(layer, x, own=own)
@@ -174,7 +174,7 @@ class HeldPrefix:
     given h starts there, at any rate (0 included) and with any generator,
     with bit-equal results. The split is at the first dropout layer, active
     or not; a network without one keeps nothing and runs whole.
-    h keeps a copy of its image and refuses any other.
+    h keeps a copy of its image and refuses any other, byte for byte (NaN matches itself).
     """
 
     __slots__ = ("image", "stage", "skips", "drop_input")
@@ -188,7 +188,7 @@ class HeldPrefix:
     def _bind(self, x):
         if self.image is None:
             self.image = x.copy()
-        elif x.shape != self.image.shape or x.dtype != self.image.dtype or not np.array_equal(x, self.image):
+        elif x.shape != self.image.shape or x.dtype != self.image.dtype or x.tobytes() != self.image.tobytes():
             raise StaleStateError("this held prefix belongs to another image")
 
 

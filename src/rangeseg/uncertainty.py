@@ -56,17 +56,18 @@ class SensorNoiseModel:
 
 
 @dataclass
-class UncertaintyMap:
+class EpistemicMap:
     mean_prediction: np.ndarray       # (C, h, w) probabilities
     epistemic: np.ndarray             # (h, w), >= 0
+
+
+@dataclass
+class AleatoricMap:
+    mean_prediction: np.ndarray       # (C, h, w) probabilities
     aleatoric: np.ndarray             # (h, w), >= 0
 
 
-def _zeros_like_map(probs):
-    return np.zeros(probs.shape[1:], dtype=np.float64)
-
-
-def mc_dropout_infer(model: Model, x: np.ndarray, n: int, seed=0, rate=None, held=None) -> UncertaintyMap:
+def mc_dropout_infer(model: Model, x: np.ndarray, n: int, seed=0, rate=None, held=None) -> EpistemicMap:
     """n dropout-active forward passes; epistemic variance of the softmax.
 
     Trial i is one Model.forward whose masks come from
@@ -92,7 +93,7 @@ def mc_dropout_infer(model: Model, x: np.ndarray, n: int, seed=0, rate=None, hel
         d = t - mean
         var += d * d
     var /= n  # population variance
-    return UncertaintyMap(mean_prediction=mean, epistemic=var.sum(axis=0), aleatoric=_zeros_like_map(mean))
+    return EpistemicMap(mean_prediction=mean, epistemic=var.sum(axis=0))
 
 
 def _check_pixels(shape, **maps):
@@ -102,7 +103,7 @@ def _check_pixels(shape, **maps):
             raise DimensionError(f"{name} must have the image's shape {shape}, got {np.shape(m)}")
 
 
-def adf_infer(model: Model, x: np.ndarray, noise: SensorNoiseModel, valid=None) -> UncertaintyMap:
+def adf_infer(model: Model, x: np.ndarray, noise: SensorNoiseModel, valid=None) -> AleatoricMap:
     """Propagate sensor noise; aleatoric variance of the class probabilities."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 3:
@@ -114,11 +115,7 @@ def adf_infer(model: Model, x: np.ndarray, noise: SensorNoiseModel, valid=None) 
         _check_pixels(x.shape[1:], valid=valid)
         var *= np.asarray(valid, dtype=np.float64)[None]  # empty pixels carry no noise
     out = model.adf(GaussianTensor(x[None], var[None]))
-    return UncertaintyMap(
-        mean_prediction=out.mean[0],
-        epistemic=_zeros_like_map(out.mean[0]),
-        aleatoric=out.variance[0].sum(axis=0),
-    )
+    return AleatoricMap(mean_prediction=out.mean[0], aleatoric=out.variance[0].sum(axis=0))
 
 
 def default_rate_grid() -> np.ndarray:

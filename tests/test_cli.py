@@ -15,6 +15,7 @@ import pytest
 from pngcheck import read_png
 
 from rangeseg import cli
+from rangeseg.checkpoint import load_checkpoint, save_checkpoint
 from rangeseg.cli import _proj_from_args, build_parser, main
 from rangeseg.imageio import label_palette, normalize_to_u8
 from rangeseg.pointcloud import (
@@ -380,6 +381,19 @@ def test_infer_missing_checkpoint_exits_two(ws, tmp_path):
     rc = main(["infer", ws.scan_paths[0], "--checkpoint", str(tmp_path / "no.rseg"),
                "--out-dir", str(tmp_path / "o")])
     assert rc == 2
+
+
+@pytest.mark.parametrize("command", ["infer", "uncertainty"])
+def test_unparsable_projection_extra_exits_one_naming_the_key(ws, tmp_path, capsys, command):
+    model, _, extras = load_checkpoint(ws.ckpt)
+    ckpt = tmp_path / "bad.rseg"
+    save_checkpoint(model, {**extras, "proj.w": "wide"}, path=str(ckpt))
+    out = tmp_path / "o"
+    rc = main([command, ws.scan_paths[0], "--checkpoint", str(ckpt), "--out-dir", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "CorruptCheckpointError" in err and "proj.w" in err and "Traceback" not in err
+    assert not out.exists() or not os.listdir(str(out))
 
 
 # ---------------------------------------------------------------- eval

@@ -315,16 +315,21 @@ class TestLeakyReLU:
         x = buf[..., : 32 * 64].reshape(5, 8, 32, 64)
         gy = rng.normal(size=x.shape).astype(dtype)
         gy.reshape(-1, 32 * 64)[::3, : len(special)] = special[::-1]
-        before = x.tobytes()
-        act = LeakyReLU(slope)
         with np.errstate(invalid="ignore", under="ignore"):  # 0 * inf; slope * subnormal
-            y = act.forward(x, cache=True, inplace=True)
             want_y = np.where(x >= 0, x, slope * x)
-            g = act.backward(gy)
             want_g = np.where(x >= 0, gy, slope * gy)
-        assert x.tobytes() == before  # a cached forward never writes into x
-        assert y.dtype == want_y.dtype and y.shape == want_y.shape and y.tobytes() == want_y.tobytes()
-        assert g.dtype == want_g.dtype and g.shape == want_g.shape and g.tobytes() == want_g.tobytes()
+        for inplace in (False, True):
+            x_in = x.copy()
+            act = LeakyReLU(slope)
+            with np.errstate(invalid="ignore", under="ignore"):
+                y = act.forward(x_in, cache=True, inplace=inplace)
+                g = act.backward(gy)
+            # only an owned x is written over, and slope 0's select makes a fresh array
+            written = inplace and slope > 0
+            assert np.shares_memory(y, x_in) == written
+            assert x_in.tobytes() == (want_y if written else x).tobytes()
+            assert y.dtype == want_y.dtype and y.shape == want_y.shape and y.tobytes() == want_y.tobytes()
+            assert g.dtype == want_g.dtype and g.shape == want_g.shape and g.tobytes() == want_g.tobytes()
 
     def test_backward_routes_slope(self):
         act = LeakyReLU(0.1)
@@ -333,7 +338,13 @@ class TestLeakyReLU:
 
 
 class TestInPlaceForward:
-    """Without cache, inplace=True writes the fresh-output result over x, block by block."""
+    """inplace=True writes over x, block by block, with or without cache.
+
+    Every output, cached xhat and backward equals the whole-array formula bit
+    for bit: np.where for LeakyReLU; (x - mean) * inv_std, then
+    gamma * xhat + beta, for BatchNorm2d, also with float64 parameters on a
+    float32 input ("wide"), whose output is float64.
+    """
 
     @staticmethod
     def conv_output(seed):
@@ -344,8 +355,8 @@ class TestInPlaceForward:
         return buf[..., : 32 * 32].reshape(10, 8, 32, 32)
 
     @staticmethod
-    def batch_norm():
-        bn = BatchNorm2d(8)
+    def batch_norm(dtype=np.float32):
+        bn = BatchNorm2d(8).cast(dtype)
         rng = np.random.default_rng(7)
         bn.gamma.value[:] = rng.normal(size=8)
         bn.beta.value[:] = rng.normal(size=8)
@@ -353,21 +364,72 @@ class TestInPlaceForward:
         bn.running_var[:] = rng.uniform(0.5, 2.0, size=8)
         return bn
 
-    @pytest.mark.parametrize("name", ["leaky", "bn_eval", "bn_train"])
-    def test_inplace_equals_fresh_output_and_only_inplace_writes(self, name):
-        calls = {
-            "leaky": lambda x, inplace: LeakyReLU(0.01).forward(x, inplace=inplace),
-            "bn_eval": lambda x, inplace: self.batch_norm().forward(x, train=False, inplace=inplace),
-            "bn_train": lambda x, inplace: self.batch_norm().forward(x, train=True, inplace=inplace),
-        }
+    @staticmethod
+    def whole_array(name, layer, x, gy):
+        """(output, xhat or None, input gradient) by the whole-array formulas."""
+        if name == "leaky":
+            return np.where(x >= 0, x, layer.slope * x), None, np.where(x >= 0, gy, layer.slope * gy)
+        train = name.startswith("bn_train")
+        if train:
+            mean, var = x.mean(axis=(0, 2, 3)), x.var(axis=(0, 2, 3))
+        else:
+            mean, var = layer.running_mean.astype(x.dtype), layer.running_var.astype(x.dtype)
+        inv_std = (1.0 / np.sqrt(var + layer.eps))[None, :, None, None]
+        gamma, beta = layer.gamma.value[None, :, None, None], layer.beta.value[None, :, None, None]
+        xhat = (x - mean[None, :, None, None]) * inv_std
+        gxhat = gy * gamma
+        if not train:
+            return gamma * xhat + beta, xhat, gxhat * inv_std
+        m = x.size // x.shape[1]
+        sum_g = gxhat.sum(axis=(0, 2, 3), keepdims=True)
+        sum_gx = (gxhat * xhat).sum(axis=(0, 2, 3), keepdims=True)
+        return gamma * xhat + beta, xhat, (inv_std / m) * (m * gxhat - sum_g - xhat * sum_gx)
+
+    @pytest.mark.parametrize(
+        "name, cache",
+        [pytest.param(n, c, id=n + ("-cache" if c else ""))
+         for c in (False, True) for n in ("leaky", "bn_eval", "bn_train", "bn_eval_wide", "bn_train_wide")],
+    )
+    def test_inplace_equals_fresh_output_and_only_inplace_writes(self, name, cache):
+        def layer():
+            if name == "leaky":
+                return LeakyReLU(0.01)
+            return self.batch_norm(np.float64 if name.endswith("wide") else np.float32)
+
+        def call(lay, x, inplace):
+            if name == "leaky":
+                return lay.forward(x, cache=cache, inplace=inplace)
+            return lay.forward(x, train=name.startswith("bn_train"), cache=cache, inplace=inplace)
+
         x, x_own = self.conv_output(1), self.conv_output(1)
         assert x.size * x.itemsize > layers._BLOCK_BYTES
+        fresh_layer, owned_layer = layer(), layer()
         with np.errstate(invalid="ignore"):  # inf - inf in the batch statistics
-            fresh = calls[name](x, False)
+            fresh = call(fresh_layer, x, False)
             assert x.tobytes() == self.conv_output(1).tobytes()
-            owned = calls[name](x_own, True)
+            owned = call(owned_layer, x_own, True)
         assert fresh.dtype == owned.dtype and fresh.tobytes() == owned.tobytes()
-        assert np.shares_memory(owned, x_own) and owned.tobytes() == x_own.tobytes()
+        gy = np.random.default_rng(2).normal(size=x.shape).astype(fresh.dtype)
+        with np.errstate(invalid="ignore"):
+            want_y, want_xhat, want_gx = self.whole_array(name, layer(), x, gy)
+        assert fresh.dtype == want_y.dtype and fresh.tobytes() == want_y.tobytes()
+        # x_own holds the result, or BN's xhat when the result needs its own buffer
+        result_in_x = name == "leaky" or not (cache or name.endswith("wide"))
+        assert np.shares_memory(owned, x_own) == result_in_x
+        assert x_own.tobytes() == (want_y if result_in_x else want_xhat).tobytes()
+        if not cache:
+            assert fresh_layer._cache is None and owned_layer._cache is None
+            return
+        for lay in (fresh_layer, owned_layer):
+            if want_xhat is not None:
+                xhat = lay._take_cache()[0]
+                assert xhat.dtype == want_xhat.dtype and xhat.tobytes() == want_xhat.tobytes()
+            with np.errstate(invalid="ignore"):
+                gx = lay.backward(gy)
+                want_ggamma = None if want_xhat is None else (gy * want_xhat).sum(axis=(0, 2, 3))
+            assert gx.dtype == want_gx.dtype and gx.tobytes() == want_gx.tobytes()
+            if want_ggamma is not None:
+                assert lay.gamma.grad.tobytes() == want_ggamma.tobytes()
 
 
 @st.composite

@@ -151,7 +151,7 @@ class TestBackward:
 
 
 class TestInPlaceRoute:
-    """Without cache, each unit's act and bn write into its conv output; nothing else may change."""
+    """Each unit's act and bn write into its conv output, with or without cache; nothing else may change."""
 
     @pytest.fixture
     def model(self):
@@ -182,7 +182,7 @@ class TestInPlaceRoute:
         y = model.forward(x, mode="eval")
         self.assert_same([x_before] + state, [x] + self.state(model))
         self.assert_caches_cleared(model)
-        cached = model.forward(x, mode="eval", cache=True)  # every layer makes a fresh array
+        cached = model.forward(x, mode="eval", cache=True)  # the same route, keeping what backward reads
         self.assert_same([cached], [y])
         model.backward(np.ones_like(cached))  # and the cached forward did fill the caches
 
