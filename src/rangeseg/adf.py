@@ -5,14 +5,16 @@ elementwise-independent Gaussian input. Linear layers are exact; the leaky
 ReLU uses the closed-form first two moments of max(x, a*x); softmax uses a
 first-order delta approximation and is documented as such.
 
-Every rule floors the variance it returns (VARIANCE_FLOOR) on its own fresh
-output, in place. The LeakyReLU and BatchNorm2d rules run over the (n*c, h*w)
-row blocks of layers._row_blocks, each op of the formula in turn over one
-block, so their temporaries are block-sized and stay in cache; every element
+Every rule returns the mean's dtype, as every layer returns its input's
+(parameters and statistics of another dtype are read in it, or each op's result
+is stored in it), and floors the variance it returns (VARIANCE_FLOOR) on its
+own fresh output, in place. The LeakyReLU and BatchNorm2d rules run over the
+(n*c, h*w) row blocks of layers._row_blocks, each op of the formula in turn over
+one block, so their temporaries are block-sized and stay in cache; every element
 still sees the same ops in the same order. Called with own=True (the model does
 so for a conv output inside its conv -> act -> bn unit, which nothing else
-reads) they write their result over the input's mean and variance. The leaky
-rule evaluates ndtr and exp only where |t| = |mu|/sigma is not beyond
+reads) they always write their result over the input's mean and variance. The
+leaky rule evaluates ndtr and exp only where |t| = |mu|/sigma is not beyond
 _SATURATED, where they give exactly 0 or 1 and exactly 0; a NaN t takes the
 full path.
 """
@@ -79,23 +81,21 @@ def conv2d_adf(layer: Conv2d, g: GaussianTensor) -> GaussianTensor:
 def batch_norm_adf(layer: BatchNorm2d, g: GaussianTensor, own=False) -> GaussianTensor:
     """Eval-mode affine transform on the mean, squared scale on the variance.
 
-    own: g's arrays are read by nothing else, so the result overwrites them.
+    own: g's arrays are read by nothing else, so the result always overwrites them.
     """
     inv_std = 1.0 / np.sqrt(layer.running_var + layer.eps)
     scale = (layer.gamma.value * inv_std).astype(g.mean.dtype)
     per_row = [np.tile(v, len(g.mean))[:, None] for v in (layer.running_mean, scale, layer.beta.value, scale**2)]
     mus, blocks = _row_blocks(g.mean)
     vs, _ = _row_blocks(g.variance)
-    dt = np.result_type(mus, layer.running_mean, layer.beta.value)  # float64 statistics widen a float32 mean
-    mean = mus if own and dt == mus.dtype else np.empty(mus.shape, dt)
-    var = vs if own else np.empty_like(vs)
+    mean, var = (mus, vs) if own else (np.empty_like(mus), np.empty_like(vs))
     for b in blocks:
         m, s, t, s2 = (v[b] for v in per_row)
         r = np.subtract(mus[b], m, out=mean[b])
         r *= s
         r += t
         np.maximum(np.multiply(vs[b], s2, out=var[b]), VARIANCE_FLOOR, out=var[b])
-    return GaussianTensor.trusted(mean.reshape(g.mean.shape), var.reshape(g.mean.shape).astype(dt, copy=False))
+    return GaussianTensor.trusted(mean.reshape(g.mean.shape), var.reshape(g.mean.shape))
 
 
 def leaky_relu_adf(layer: LeakyReLU, g: GaussianTensor, own=False) -> GaussianTensor:
@@ -106,19 +106,16 @@ def leaky_relu_adf(layer: LeakyReLU, g: GaussianTensor, own=False) -> GaussianTe
       E[y^2] = (mu^2+v)*Phi(t) + mu*sigma*phi(t)
                + a^2 * ((mu^2+v)*(1-Phi(t)) - mu*sigma*phi(t))
 
-    own: g's arrays are read by nothing else, so the result overwrites them.
+    own: g's arrays are read by nothing else, so the result always overwrites them.
     """
     a = layer.slope
     mus, blocks = _row_blocks(g.mean)
     vs, _ = _row_blocks(g.variance)
     mean, var = (mus, vs) if own else (np.empty_like(mus), np.empty_like(vs))
-    scratch = np.empty((7,) + (mus[blocks[0]] if blocks else mus).shape, mus.dtype)
+    scratch = np.empty((6,) + (mus[blocks[0]] if blocks else mus).shape, mus.dtype)
     for b in blocks:
         mu, v = mus[b], vs[b]
-        held, sigma, t, cdf, pdf, second, cross = scratch[:, : len(mu)]
-        if own:  # a*mu is read after mean[b], which is mu, is written
-            held[...] = mu
-            mu = held
+        sigma, t, cdf, pdf, second, cross = scratch[:, : len(mu)]
         np.sqrt(v, out=sigma)
         np.divide(mu, sigma, out=t)
         live = np.flatnonzero(~(np.abs(t, out=cdf) > _SATURATED))  # NaN stays live
@@ -135,11 +132,11 @@ def leaky_relu_adf(layer: LeakyReLU, g: GaussianTensor, own=False) -> GaussianTe
         second += v
         np.multiply(mu, sigma, out=cross)  # mu*sigma*phi(t)
         cross *= pdf
+        np.multiply(a, mu, out=t)  # t is free once cdf is taken; mu is read no more once mean[b] is written
         m = np.multiply(mu, cdf, out=mean[b])
         sigma *= pdf
         m += sigma
         m *= 1.0 - a
-        np.multiply(a, mu, out=t)
         m += t
         w = np.multiply(second, cdf, out=var[b])
         w += cross
@@ -198,7 +195,7 @@ def adf_forward(layer, g: GaussianTensor, own=False) -> GaussianTensor:
     """Dispatch a layer to its ADF rule.
 
     own: g's arrays are buffers nothing else reads; the LeakyReLU and
-    BatchNorm2d rules then write their result into them.
+    BatchNorm2d rules then always write their result into them.
     """
     try:
         rule = _RULES[type(layer)]

@@ -8,7 +8,7 @@ Layout, all integers little-endian:
     u32  tensor record count
     per record:
         u16  name length, then the utf-8 name
-        u8   dtype tag, u8 rank, rank x u32 extents
+        u8   dtype tag (0 float32, 1 float64), u8 rank, rank x u32 extents
         raw little-endian C-order payload
 
 The config block holds the model configuration under `model.` keys; callers
@@ -30,13 +30,7 @@ from .model import Model, ModelConfig, build_model
 MAGIC = b"RSEGCKPT"
 VERSION = 1
 
-_DTYPE_TAGS = {
-    np.dtype("<f4"): 0,
-    np.dtype("<f8"): 1,
-    np.dtype("<i8"): 2,
-    np.dtype("<i4"): 3,
-    np.dtype("<u4"): 4,
-}
+_DTYPE_TAGS = {np.dtype("<f4"): 0, np.dtype("<f8"): 1}
 _TAG_DTYPES = {tag: dt for dt, tag in _DTYPE_TAGS.items()}
 
 

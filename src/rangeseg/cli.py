@@ -206,6 +206,13 @@ def cmd_train(args):
         raise UsageError("--classmap needs --data; synthetic scenes carry training ids")
     if args.num_scans is not None and args.data:
         raise UsageError("--num-scans sizes a synthetic dataset; --data trains on every scan it holds")
+    if args.train_config:
+        kv = load_kv_file(_require_file(args.train_config, "train config"))
+        kv.setdefault("seed", str(args.seed))
+        train_cfg = train_config_from_dict(kv)
+    else:
+        epochs = 30 if args.epochs is None else args.epochs
+        train_cfg = TrainConfig(epochs=epochs, batch_size=4, seed=args.seed, augment=not args.no_augment)
     # synthetic scenes are ray-cast on the projection grid, 64x512 unless the flags say otherwise
     proj = _proj_from_args(args, None if args.data else {"proj.w": 512, "proj.h": 64})
     out_dir = _ensure_dir(args.out_dir)
@@ -229,13 +236,6 @@ def cmd_train(args):
         model_cfg = micro_config(num_classes=num_classes)
     if model_cfg.num_classes != num_classes:
         raise UsageError(f"model config has {model_cfg.num_classes} classes, the data has {num_classes}")
-    if args.train_config:
-        kv = load_kv_file(_require_file(args.train_config, "train config"))
-        kv.setdefault("seed", str(args.seed))
-        train_cfg = train_config_from_dict(kv)
-    else:
-        epochs = 30 if args.epochs is None else args.epochs
-        train_cfg = TrainConfig(epochs=epochs, batch_size=4, seed=args.seed, augment=not args.no_augment)
 
     model = build_model(model_cfg, seed=args.seed)
     t0 = time.perf_counter()

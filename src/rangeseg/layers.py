@@ -5,10 +5,12 @@ may cast layers to float64). Each layer caches what its backward pass needs
 when forward is called with cache=True; backward without a cache raises.
 The model records these calls on a tape and replays their backwards in reverse.
 
-No layer writes into its input, with one exception: LeakyReLU and BatchNorm2d
-called with inplace=True may write over x. The caller then owns x: nothing else
-reads it afterwards. The model passes inplace=True only for a conv output inside
-its conv -> act -> bn unit (Conv2d caches its input, not this output).
+Every layer returns an array of its input's dtype: parameters of another
+dtype are read in it, or each op's result is stored in it. No layer writes into
+its input, with one exception: LeakyReLU and BatchNorm2d called with
+inplace=True write over x, always. The caller then owns x: nothing else reads it
+afterwards. The model passes inplace=True only for a conv output inside its
+conv -> act -> bn unit (Conv2d caches its input, not this output).
 """
 
 from __future__ import annotations
@@ -186,7 +188,7 @@ class Conv2d(Layer):
         ho, wo = h + 2 * p - self.dilation * (self.k - 1), w + 2 * p - self.dilation * (self.k - 1)
         if ho <= 0 or wo <= 0:
             raise DimensionError(f"kernel does not fit input of spatial size {h}x{w}")
-        y = _pitched((n, c_out, ho * wo), np.result_type(weight, x))
+        y = _pitched((n, c_out, ho * wo), x.dtype)
         w2d = weight.reshape(c_out, -1)
         for s, r, cols in self._columns(x, p, c_out):
             np.matmul(w2d, cols, out=y[s : s + len(cols), :, r * wo : r * wo + cols.shape[2]])
@@ -247,7 +249,7 @@ class BatchNorm2d(Layer):
         self.running_var[...] = (1 - m) * self.running_var + m * var
 
     def forward(self, x, train=False, cache=False, inplace=False):
-        """inplace: no one else reads x, so xhat, and the result where it shares xhat's buffer, may overwrite it."""
+        """inplace: no one else reads x, so it is overwritten: by the result, or by xhat if xhat is cached."""
         if x.shape[1] != self.c:
             raise DimensionError(f"batch norm expects {self.c} channels, got {x.shape[1]}")
         if train:
@@ -261,9 +263,8 @@ class BatchNorm2d(Layer):
         inv_std = 1.0 / np.sqrt(var + self.eps)
         gamma, beta = self.gamma.value, self.beta.value
         rows, blocks = _row_blocks(x)
-        xhat = rows if inplace else np.empty_like(rows)  # in x's dtype
-        dtype = np.result_type(x, gamma, beta)
-        out = xhat if not cache and dtype == x.dtype else np.empty(rows.shape, dtype)
+        xhat = rows if inplace else np.empty_like(rows)
+        out = np.empty_like(rows) if cache else xhat  # wider gamma and beta results are stored in x's dtype
         per_row = [np.tile(v, len(x))[:, None] for v in (mean, inv_std, gamma, beta)]
         for b in blocks:
             m, s, g, t = (v[b] for v in per_row)
@@ -276,7 +277,7 @@ class BatchNorm2d(Layer):
 
     def backward(self, gy):
         xhat, inv_std, train = self._take_cache()
-        gamma = self.gamma.value
+        gamma = self.gamma.value.astype(gy.dtype, copy=False)
         self.gamma.grad += (gy * xhat).sum(axis=(0, 2, 3))
         self.beta.grad += gy.sum(axis=(0, 2, 3))
         gxhat = gy * gamma[None, :, None, None]
@@ -297,17 +298,17 @@ class LeakyReLU(Layer):
         self._cache = None
 
     def forward(self, x, cache=False, inplace=False):
-        """inplace: no one else reads x, so the result may overwrite it (the mask is taken first)."""
+        """inplace: no one else reads x, so the result overwrites it (the mask is taken first)."""
         self._cache = x >= 0 if cache else None
-        if self.slope == 0:  # +inf * 0 is NaN, so max(x, 0*x) is not the select here
-            return np.where(x >= 0, x, self.slope * x)
-        # for 0 < slope <= 1 the larger of x and slope*x is that select, bit for bit
         rows, blocks = _row_blocks(x)
         out = rows if inplace else np.empty_like(rows)
         scaled = np.empty_like(rows[blocks[0]] if blocks else rows)
         for b in blocks:
             r = rows[b]
-            np.maximum(r, np.multiply(r, self.slope, out=scaled[: len(r)]), out=out[b])
+            if self.slope:  # for 0 < slope <= 1 the larger of x and slope*x is the select, bit for bit
+                np.maximum(r, np.multiply(r, self.slope, out=scaled[: len(r)]), out=out[b])
+            else:  # +inf * 0 is NaN, so max(x, 0*x) is not the select; x * (x >= 0) is
+                np.multiply(r, r >= 0, out=out[b])
         return out.reshape(x.shape)
 
     def backward(self, gy):

@@ -32,8 +32,8 @@ class ProjectionConfig:
     def __post_init__(self):
         if self.w <= 0 or self.h <= 0:
             raise ProjectionError("image extents must be positive")
-        if self.fov_up < 0 or self.fov_down > 0 or self.fov() <= 0:
-            raise ProjectionError("need fov_up >= 0, fov_down <= 0, nonzero total")
+        if not (0 <= self.fov_up < math.inf and -math.inf < self.fov_down <= 0) or self.fov() <= 0:
+            raise ProjectionError("need finite fov_up >= 0, fov_down <= 0, nonzero total")  # NaN fails too
 
     def fov(self) -> float:
         return abs(self.fov_down) + abs(self.fov_up)

@@ -7,6 +7,8 @@ parameters bit for bit on a single thread.
 from __future__ import annotations
 
 import json
+import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,16 +35,17 @@ class TrainConfig:
     augment: bool = True
 
     def __post_init__(self):
-        if self.lr0 <= 0:
-            raise ConfigError("lr0 must be positive")
+        if not 0.0 < self.lr0 < math.inf:  # NaN fails every chained comparison here
+            raise ConfigError("lr0 must be positive and finite")
         if not 0.0 <= self.momentum < 1.0:
             raise ConfigError("momentum must lie in [0, 1)")
-        if self.weight_decay < 0:
-            raise ConfigError("weight_decay must be >= 0")
+        if not 0.0 <= self.weight_decay < math.inf:
+            raise ConfigError("weight_decay must be finite and >= 0")
         if not 0.0 < self.lr_decay <= 1.0:
             raise ConfigError("lr_decay must lie in (0, 1]")
-        if self.batch_size < 1 or self.epochs < 0:
-            raise ConfigError("batch_size >= 1 and epochs >= 0 required")
+        ints = isinstance(self.batch_size, numbers.Integral) and isinstance(self.epochs, numbers.Integral)
+        if not ints or self.batch_size < 1 or self.epochs < 0:
+            raise ConfigError("integer batch_size >= 1 and epochs >= 0 required")
 
 
 def normalize_weights(cw: ClassWeights) -> ClassWeights:

@@ -237,10 +237,11 @@ def oracle_conv(layer, g):
 
 
 def oracle_batch_norm(layer, g):
+    dt = g.mean.dtype  # each op's result is stored in the mean's dtype
     inv_std = 1.0 / np.sqrt(layer.running_var + layer.eps)
-    scale = (layer.gamma.value * inv_std).astype(g.mean.dtype)
-    mean = (g.mean - layer.running_mean[None, :, None, None]) * scale[None, :, None, None]
-    mean += layer.beta.value[None, :, None, None]
+    scale = (layer.gamma.value * inv_std).astype(dt)
+    mean = (g.mean - layer.running_mean[None, :, None, None]).astype(dt) * scale[None, :, None, None]
+    mean = (mean + layer.beta.value[None, :, None, None]).astype(dt)
     return oracle_floored(mean, g.variance * (scale**2)[None, :, None, None])
 
 
@@ -354,8 +355,7 @@ class TestRowBlockRules:
             want, fresh, owned, (m, v) = rule_outputs(batch_norm_adf, batch_norm_layer(param_dtype), mean, var)
         assert_bit_equal(fresh, want)
         assert_bit_equal(owned, want)
-        same = want.mean.dtype == mean.dtype  # float64 statistics widen a float32 input: no write then
-        assert np.shares_memory(owned.mean, m) == same and np.shares_memory(owned.variance, v) == same
+        assert np.shares_memory(owned.mean, m) and np.shares_memory(owned.variance, v)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_conv_floors_its_own_fresh_variance(self, dtype):

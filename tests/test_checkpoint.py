@@ -131,16 +131,25 @@ class TestRejection:
         with pytest.raises(CorruptCheckpointError, match="shape"):
             load_checkpoint(splice(save_checkpoint(model), recs))
 
-    def test_unknown_dtype_tag(self, model):
+    @pytest.mark.parametrize("tag", [2, 3, 4, 0xEE], ids=["2", "3", "4", "0xee"])
+    def test_unknown_dtype_tag(self, model, tag):
+        # only float32 (0) and float64 (1) are tags; 2-4 once named int64, int32 and uint32
         from rangeseg.errors import CorruptCheckpointError
         blob = save_checkpoint(model)
         cfg_len = struct.unpack("<I", blob[12:16])[0]
         first_rec = 16 + cfg_len + 4
         name_len = struct.unpack("<H", blob[first_rec : first_rec + 2])[0]
         tag_at = first_rec + 2 + name_len
-        tampered = blob[:tag_at] + b"\xee" + blob[tag_at + 1 :]
+        tampered = blob[:tag_at] + bytes([tag]) + blob[tag_at + 1 :]
         with pytest.raises(CorruptCheckpointError, match="dtype"):
             load_checkpoint(tampered)
+
+    def test_integer_parameter_is_refused_on_save(self, model):
+        from rangeseg.errors import CorruptCheckpointError
+        p = dict(model.named_params())["context0.short.conv.kernel"]
+        p.value = p.value.astype(np.int32)
+        with pytest.raises(CorruptCheckpointError, match="context0.short.conv.kernel.*int32"):
+            save_checkpoint(model)
 
     @pytest.mark.parametrize("where", ["config", "tensor-name"])
     def test_invalid_utf8_is_corrupt(self, model, where):

@@ -181,6 +181,18 @@ def test_train_config_without_seed_takes_seed_flag(tmp_path):
     assert losses(tmp_path / "a")[0]
 
 
+def test_train_config_file_with_nan_lr0_exits_one_before_training(tmp_path, capsys):
+    cfg = tmp_path / "train.cfg"
+    cfg.write_text("epochs=1\nlr0=nan\n")
+    out = tmp_path / "o"
+    rc = main(["train", "--synthetic", "--num-scans", "1", "--width", str(W), "--height", str(H),
+               "--train-config", str(cfg), "--out-dir", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "ConfigError" in err and "lr0" in err and "Traceback" not in err
+    assert not out.exists()  # refused before the output directory or any scan is made
+
+
 @pytest.mark.parametrize("flag", [["--epochs", "3"], ["--no-augment"]], ids=["epochs", "no-augment"])
 def test_train_config_file_rejects_flags_it_overrides(tmp_path, capsys, flag):
     cfg = tmp_path / "train.cfg"
@@ -612,6 +624,14 @@ def test_uncertainty_noise_config_matches_equal_noise_var(ws, tmp_path):
 
 
 # ---------------------------------------------------------------- project
+
+
+def test_nan_fov_exits_one_naming_projection_error(ws, tmp_path, capsys):
+    out = tmp_path / "proj"
+    rc = main(["project", "--scan", ws.scan_paths[0], "--out-dir", str(out), "--fov-up", "nan"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "ProjectionError" in err and "Traceback" not in err
 
 
 def test_project_reports_collision_arithmetic(ws, tmp_path, capsys):

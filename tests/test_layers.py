@@ -304,7 +304,8 @@ class TestLeakyReLU:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("slope", [0.0, 1e-30, 0.01, 0.5, 1.0])
     def test_cached_forward_and_backward_equal_the_select(self, dtype, slope):
-        # the row-block maximum and the [slope, 1] factor against np.where, bit for bit
+        # the row-block select (a maximum, or x * (x >= 0) at slope 0) and the [slope, 1] factor
+        # against np.where, bit for bit
         info = np.finfo(dtype)
         sub = info.smallest_subnormal
         special = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, sub, -sub, 3 * sub, -3 * sub,
@@ -324,8 +325,8 @@ class TestLeakyReLU:
             with np.errstate(invalid="ignore", under="ignore"):
                 y = act.forward(x_in, cache=True, inplace=inplace)
                 g = act.backward(gy)
-            # only an owned x is written over, and slope 0's select makes a fresh array
-            written = inplace and slope > 0
+            # an owned x is always written over, at slope 0 too
+            written = inplace
             assert np.shares_memory(y, x_in) == written
             assert x_in.tobytes() == (want_y if written else x).tobytes()
             assert y.dtype == want_y.dtype and y.shape == want_y.shape and y.tobytes() == want_y.tobytes()
@@ -343,7 +344,8 @@ class TestInPlaceForward:
     Every output, cached xhat and backward equals the whole-array formula bit
     for bit: np.where for LeakyReLU; (x - mean) * inv_std, then
     gamma * xhat + beta, for BatchNorm2d, also with float64 parameters on a
-    float32 input ("wide"), whose output is float64.
+    float32 input ("wide"), where each op's result is stored in x's dtype and
+    the backward reads gamma in gy's dtype.
     """
 
     @staticmethod
@@ -377,13 +379,14 @@ class TestInPlaceForward:
         inv_std = (1.0 / np.sqrt(var + layer.eps))[None, :, None, None]
         gamma, beta = layer.gamma.value[None, :, None, None], layer.beta.value[None, :, None, None]
         xhat = (x - mean[None, :, None, None]) * inv_std
-        gxhat = gy * gamma
+        y = ((gamma * xhat).astype(x.dtype) + beta).astype(x.dtype)
+        gxhat = gy * gamma.astype(gy.dtype)
         if not train:
-            return gamma * xhat + beta, xhat, gxhat * inv_std
+            return y, xhat, gxhat * inv_std
         m = x.size // x.shape[1]
         sum_g = gxhat.sum(axis=(0, 2, 3), keepdims=True)
         sum_gx = (gxhat * xhat).sum(axis=(0, 2, 3), keepdims=True)
-        return gamma * xhat + beta, xhat, (inv_std / m) * (m * gxhat - sum_g - xhat * sum_gx)
+        return y, xhat, (inv_std / m) * (m * gxhat - sum_g - xhat * sum_gx)
 
     @pytest.mark.parametrize(
         "name, cache",
@@ -413,8 +416,8 @@ class TestInPlaceForward:
         with np.errstate(invalid="ignore"):
             want_y, want_xhat, want_gx = self.whole_array(name, layer(), x, gy)
         assert fresh.dtype == want_y.dtype and fresh.tobytes() == want_y.tobytes()
-        # x_own holds the result, or BN's xhat when the result needs its own buffer
-        result_in_x = name == "leaky" or not (cache or name.endswith("wide"))
+        # x_own holds the result, or BN's xhat when xhat is cached
+        result_in_x = name == "leaky" or not cache
         assert np.shares_memory(owned, x_own) == result_in_x
         assert x_own.tobytes() == (want_y if result_in_x else want_xhat).tobytes()
         if not cache:
@@ -428,8 +431,8 @@ class TestInPlaceForward:
                 gx = lay.backward(gy)
                 want_ggamma = None if want_xhat is None else (gy * want_xhat).sum(axis=(0, 2, 3))
             assert gx.dtype == want_gx.dtype and gx.tobytes() == want_gx.tobytes()
-            if want_ggamma is not None:
-                assert lay.gamma.grad.tobytes() == want_ggamma.tobytes()
+            if want_ggamma is not None:  # summed in gy's dtype, accumulated into gamma's
+                assert lay.gamma.grad.tobytes() == want_ggamma.astype(lay.gamma.grad.dtype).tobytes()
 
 
 @st.composite

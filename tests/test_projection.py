@@ -235,3 +235,8 @@ class TestConfigValidation:
             ProjectionConfig(fov_up=-0.1, fov_down=-0.4)
         with pytest.raises(ProjectionError):
             ProjectionConfig(fov_up=0.1, fov_down=0.2)
+        for bad in (math.nan, math.inf, -math.inf):  # not finite: NaN fails every sign test
+            with pytest.raises(ProjectionError):
+                ProjectionConfig(fov_up=bad)
+            with pytest.raises(ProjectionError):
+                ProjectionConfig(fov_down=bad)

@@ -94,6 +94,12 @@ class TestTrainConfig:
         dict(lr_decay=1.0001),
         dict(batch_size=0),
         dict(epochs=-1),
+        dict(lr0=float("nan")),
+        dict(lr0=float("inf")),
+        dict(weight_decay=float("nan")),
+        dict(weight_decay=float("inf")),
+        dict(epochs=2.5),
+        dict(batch_size=2.5),
     ])
     def test_invalid_values_rejected(self, kwargs):
         with pytest.raises(ConfigError):
