@@ -29,7 +29,7 @@ from .config import (
 from .errors import ConfigError, CorruptCheckpointError, InvalidPointError, RangesegError, ScanFormatError
 from .fileio import write_atomic
 from .imageio import save_grayscale, save_labels
-from .layers import check_rate
+from .layers import check_rate, check_seed
 from .metrics import ConfusionMatrix
 from .model import HeldPrefix, build_model, micro_config
 from .pointcloud import (
@@ -198,6 +198,7 @@ def _load_dir_dataset(data_dir, class_map, num_classes):
 
 
 def cmd_train(args):
+    check_seed(args.seed, "--seed")
     if args.train_config:
         for flag, given in (("--epochs", args.epochs is not None), ("--no-augment", args.no_augment)):
             if given:
@@ -385,6 +386,7 @@ def _parse_rates(text, search):
 def cmd_uncertainty(args):
     if not args.scans:
         raise UsageError("no scans given")
+    check_seed(args.seed, "--seed")
     if args.mc_trials < 1:
         raise UsageError("--mc-trials must be >= 1")
     search = args.gt is not None

@@ -15,7 +15,9 @@ conv -> act -> bn unit (Conv2d caches its input, not this output).
 
 from __future__ import annotations
 
+import ctypes
 import math
+import numbers
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -28,6 +30,13 @@ def check_rate(rate, name="dropout rate"):
     if not 0.0 <= rate < 1.0:
         raise ConfigError(f"{name} must lie in [0, 1), got {rate}")
     return rate
+
+
+def check_seed(seed, name="seed"):
+    """seed itself if it is a non-negative integer (what SeedSequence takes), else ConfigError."""
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
+        raise ConfigError(f"{name} must be a non-negative integer, got {seed!r}")
+    return seed
 
 
 class Param:
@@ -103,6 +112,24 @@ _BAND_MACS = 1 << 22
 # 1 MiB ones worse. Each element still sees the same ops in the same order.
 _BLOCK_BYTES = 1 << 18
 
+# glibc hands freed memory back to the kernel: a block above the mmap
+# threshold at once, the heap top once it passes the trim threshold. Left
+# dynamic, both follow the largest freed mapped block (32 MiB at most), so each
+# layer's padded input, column bands, output and concatenation (1-46 MB) went
+# back and the next layer faulted the pages in again: about 14% of a micro
+# `infer` scan. Both sit above the largest buffer made here (377 MB of dec3
+# weight-gradient columns at 64x2048), so freed memory stays for reuse. Setting
+# only one turns the dynamic rule off with the other low, which faulted more.
+_HEAP_KEEP_BYTES = 1 << 30
+try:
+    _mallopt = ctypes.CDLL(None).mallopt
+except (AttributeError, OSError, TypeError):  # not glibc, or no C library handle
+    pass
+else:
+    _mallopt.argtypes, _mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    _mallopt(-3, _HEAP_KEEP_BYTES)  # M_MMAP_THRESHOLD
+    _mallopt(-1, _HEAP_KEEP_BYTES)  # M_TRIM_THRESHOLD
+
 
 def _row_blocks(x):
     """x's rows ((n*c, h*w), a view, for a conv output) and slices of about _BLOCK_BYTES of them."""
@@ -142,8 +169,7 @@ class Conv2d(Layer):
     # im2col columns are built a few whole images at a time when one image's
     # fit COLS_CHUNK_BYTES, else in bands of output rows of one image, so that
     # they stay in cache between the fill and the matmul instead of going out
-    # to DRAM, in a fresh mmap, per image. Neither split changes a bit (see
-    # _BAND_MACS).
+    # to DRAM. Neither split changes a bit (see _BAND_MACS).
     COLS_CHUNK_BYTES = 1 << 20
 
     def _columns(self, x, p, c_out, whole=False):

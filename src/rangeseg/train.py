@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, DimensionError, EmptyBatchError, TrainingDivergedError
-from .layers import BatchNorm2d
+from .layers import BatchNorm2d, check_seed
 from .losses import total_loss
 from .metrics import ConfusionMatrix
 from .model import Model
@@ -46,6 +46,7 @@ class TrainConfig:
         ints = isinstance(self.batch_size, numbers.Integral) and isinstance(self.epochs, numbers.Integral)
         if not ints or self.batch_size < 1 or self.epochs < 0:
             raise ConfigError("integer batch_size >= 1 and epochs >= 0 required")
+        check_seed(self.seed)
 
 
 def normalize_weights(cw: ClassWeights) -> ClassWeights:

@@ -20,7 +20,7 @@ import numpy as np
 
 from .adf import GaussianTensor
 from .errors import ConfigError, DimensionError, InvalidDistributionError, InvalidTargetError, InvalidTrialsError
-from .layers import check_rate
+from .layers import check_rate, check_seed
 from .model import HeldPrefix, Model
 from .projection import CHANNELS
 
@@ -78,6 +78,7 @@ def mc_dropout_infer(model: Model, x: np.ndarray, n: int, seed=0, rate=None, hel
     """
     if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
         raise InvalidTrialsError(f"need a whole number of trials >= 1, got {n!r}")
+    check_seed(seed)
     x = np.asarray(x)
     if x.ndim != 3:
         raise DimensionError(f"expected one (channels, h, w) image, got {x.shape}")

@@ -193,6 +193,25 @@ def test_train_config_file_with_nan_lr0_exits_one_before_training(tmp_path, caps
     assert not out.exists()  # refused before the output directory or any scan is made
 
 
+@pytest.mark.parametrize("config", [None, "epochs=1\nseed=3\n"], ids=["flags", "config-with-seed"])
+def test_train_negative_seed_exits_one_before_any_scan(tmp_path, capsys, monkeypatch, config):
+    def no_scene(*_, **__):
+        raise AssertionError("scene generated")
+
+    monkeypatch.setattr(cli, "generate_synthetic_scene", no_scene)
+    extra = []
+    if config:
+        (tmp_path / "train.cfg").write_text(config)
+        extra = ["--train-config", str(tmp_path / "train.cfg")]
+    out = tmp_path / "o"
+    rc = main(["train", "--synthetic", "--num-scans", "1", "--width", str(W), "--height", str(H),
+               "--seed", "-1", *extra, "--out-dir", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "ConfigError" in err and "--seed" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("flag", [["--epochs", "3"], ["--no-augment"]], ids=["epochs", "no-augment"])
 def test_train_config_file_rejects_flags_it_overrides(tmp_path, capsys, flag):
     cfg = tmp_path / "train.cfg"
@@ -536,6 +555,21 @@ def test_uncertainty_bad_rate_exits_two_before_any_work(ws, tmp_path, capsys, mo
                "--mc-trials", "2", "--rate", rate, "--out-dir", str(out)])
     assert rc == 2
     assert "--rate" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_uncertainty_negative_seed_exits_one_before_any_scan(ws, tmp_path, capsys, monkeypatch):
+    def no_read(*_):
+        raise AssertionError("read before the seed was checked")
+
+    monkeypatch.setattr(cli, "load_checkpoint", no_read)
+    monkeypatch.setattr(cli, "_load_scan", no_read)
+    out = tmp_path / "unc"
+    rc = main(["uncertainty", ws.scan_paths[0], "--checkpoint", ws.ckpt,
+               "--mc-trials", "2", "--seed", "-1", "--out-dir", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "ConfigError" in err and "--seed" in err and "Traceback" not in err
     assert not out.exists()
 
 

@@ -1,5 +1,6 @@
 """Behavioral contracts for the layer vocabulary (shapes, values, state)."""
 
+import ctypes
 import tracemalloc
 
 import numpy as np
@@ -613,3 +614,23 @@ class TestCast:
     def test_cast_changes_bn_buffers(self):
         bn = BatchNorm2d(2).cast(np.float64)
         assert bn.running_mean.dtype == np.float64
+
+
+def _has_mallopt():
+    try:
+        return hasattr(ctypes.CDLL(None), "mallopt")
+    except (OSError, TypeError):
+        return False
+
+
+@pytest.mark.skipif(not _has_mallopt(), reason="no glibc mallopt: the heap thresholds stay dynamic")
+def test_repeated_forward_reuses_heap_pages():
+    """Importing the layers keeps freed buffers in the heap, so a second forward
+    faults in next to no fresh pages (about 6k per micro forward without it)."""
+    resource = pytest.importorskip("resource")
+    model = build_model(micro_config(), seed=0)
+    x = np.random.default_rng(0).normal(size=(5, 64, 512)).astype(np.float32)
+    model.forward(x)  # the heap grows to the forward's high-water mark
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    model.forward(x)
+    assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before <= 200

@@ -105,6 +105,14 @@ class TestTrainConfig:
         with pytest.raises(ConfigError):
             TrainConfig(**kwargs)
 
+    @pytest.mark.parametrize("seed", [-1, 2.5, True, "1"], ids=["negative", "float", "bool", "str"])
+    def test_seed_must_be_non_negative_integer(self, seed):
+        with pytest.raises(ConfigError, match="seed"):
+            TrainConfig(seed=seed)
+
+    def test_numpy_integer_seed_accepted(self):
+        assert TrainConfig(seed=np.int64(3)).seed == 3
+
 
 class TestNormalizeWeights:
     def test_pixel_mean_becomes_one(self):

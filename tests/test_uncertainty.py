@@ -83,6 +83,11 @@ class TestMcDropout:
         with pytest.raises(InvalidTrialsError):
             mc_dropout_infer(model, image, n=n)
 
+    @pytest.mark.parametrize("seed", [-1, 2.5, True], ids=["negative", "float", "bool"])
+    def test_seed_must_be_non_negative_integer(self, model, image, seed):
+        with pytest.raises(ConfigError, match="seed"):
+            mc_dropout_infer(model, image, n=2, seed=seed)
+
     def test_numpy_integer_trials_accepted(self, model, image):
         a = mc_dropout_infer(model, image, n=np.int64(2), seed=4)
         b = mc_dropout_infer(model, image, n=2, seed=4)
