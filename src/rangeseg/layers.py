@@ -222,9 +222,23 @@ class Conv2d(Layer):
             y += bias[:, None]  # on the (n, c_out, h*w) view: see _PITCH_PAD
         return y.reshape(n, c_out, ho, wo)
 
-    def forward(self, x, cache=False):
+    def forward(self, x, cache=False, shift=None):
+        """shift: an output-shaped array added in place of the bias; x meets the kernel's leading channels.
+
+        A conv over cat([x, s]) is this with shift = W[:, c:] * s + b: the
+        convolution is linear in its input channels and pads both parts with
+        zeros. A forward given shift has no backward.
+        """
+        if cache and shift is not None:
+            raise ConfigError("a conv forward given shift has no backward: call it without cache")
         dt = x.dtype
-        y = self._correlate(x, self.kernel.value.astype(dt, copy=False), self.bias.value.astype(dt, copy=False))
+        kernel = self.kernel.value.astype(dt, copy=False)
+        if shift is None:
+            y = self._correlate(x, kernel, self.bias.value.astype(dt, copy=False))
+        else:
+            y = self._correlate(x, kernel[:, : x.shape[1]])
+            flat = y.reshape(*y.shape[:2], -1)  # a view, as for the bias: see _PITCH_PAD
+            flat += shift.reshape(flat.shape)
         self._cache = (x, y.shape) if cache else None
         return y
 

@@ -42,6 +42,7 @@ from .layers import (
     PixelShuffle,
     Softmax,
     check_rate,
+    check_seed,
 )
 
 MODES = ("train", "eval", "mc")
@@ -108,15 +109,16 @@ class _RunState:
     op can still read it, so the tape holds no arrays.
     """
 
-    __slots__ = ("bn_train", "drop_active", "rng", "rate", "cache", "held", "tape", "nodes")
+    __slots__ = ("bn_train", "drop_active", "rng", "rate", "cache", "held", "split", "tape", "nodes")
 
-    def __init__(self, bn_train, drop_active, rng, rate, cache, record=None, held=None):
+    def __init__(self, bn_train, drop_active, rng, rate, cache, record=None, held=None, split=False):
         self.bn_train = bn_train
         self.drop_active = drop_active
         self.rng = rng
         self.rate = rate
         self.cache = cache
         self.held = held  # a HeldPrefix: the traversal fills it, or starts from it
+        self.split = split  # decoder convs over a held skip add its kept terms (DecoderStage.skip_terms)
         self.tape = None if record is None else []  # record: the input array of a recorded forward
         self.nodes = {id(record): 0}
 
@@ -126,11 +128,12 @@ class _RunState:
             self.nodes[id(out)] = len(self.tape)
         return out
 
-    def apply(self, layer, x, own=False):
+    def apply(self, layer, x, own=False, shift=None):
         """The layer's forward on an array, its ADF rule on a GaussianTensor.
 
         own: x is a buffer that nothing else reads, so a LeakyReLU or
-        BatchNorm2d, or its ADF rule, writes its result into it.
+        BatchNorm2d, or its ADF rule, writes its result into it. shift: a
+        conv's kept skip term (see Conv2d.forward), given only where one is.
         """
         if isinstance(x, GaussianTensor):
             return adf_forward(layer, x, own=own)
@@ -140,6 +143,8 @@ class _RunState:
             y = layer.forward(x, cache=self.cache, inplace=own)
         elif isinstance(layer, ChannelDropout):
             y = layer.forward(x, active=self.drop_active, rng=self.rng, rate=self.rate, cache=self.cache)
+        elif shift is not None:
+            y = layer.forward(x, cache=self.cache, shift=shift)
         else:
             y = layer.forward(x, cache=self.cache)
         return y if y is x else self._record(y, partial(_layer_backward, layer), x)  # y is x: dropout off
@@ -170,10 +175,13 @@ class HeldPrefix:
 
     The first Model.forward(x, mode="mc", held=h) runs the whole network and
     keeps what the layers from the first ChannelDropout layer on read: that
-    layer's input and the pooled skips taken before it. Every later forward
-    given h starts there, at any rate (0 included) and with any generator,
-    with bit-equal results. The split is at the first dropout layer, active
-    or not; a network without one keeps nothing and runs whole.
+    layer's input and, per pooled skip taken before it, the skip's kept terms
+    (DecoderStage.skip_terms: W_skip * skip + b, one map per branch and
+    project conv of the stage that reads it), or the skip itself where that
+    stage runs whole. Every later forward given h starts there, at any rate
+    (0 included) and with any generator, with bit-equal results. The split is
+    at the first dropout layer, active or not; a network without one keeps
+    nothing and runs whole.
     h keeps a copy of its image and refuses any other, byte for byte (NaN matches itself).
     """
 
@@ -182,7 +190,7 @@ class HeldPrefix:
     def __init__(self):
         self.image = None
         self.stage = None  # index of the encoder stage that holds the first dropout layer
-        self.skips = ()  # the pooled skips up to and including that stage's
+        self.skips = ()  # per pooled skip up to and including that stage's: its kept terms, or the skip
         self.drop_input = None
 
     def _bind(self, x):
@@ -236,8 +244,8 @@ class ConvUnit(_Block):
     def children(self):
         return [("conv", self.conv), ("act", self.act), ("bn", self.bn)]
 
-    def run(self, x, rs: _RunState):
-        x = rs.apply(self.conv, x)  # a fresh buffer that only act and bn read
+    def run(self, x, rs: _RunState, shift=None):
+        x = rs.apply(self.conv, x, shift=shift)  # a fresh buffer that only act and bn read
         return rs.apply(self.bn, rs.apply(self.act, x, own=True), own=True)
 
 
@@ -273,9 +281,11 @@ class DilatedFusionBlock(_Block):
         named = [(f"branch{i}", b) for i, b in enumerate(self.branches, start=1)]
         return named + [("fuse", self.fuse), ("project", self.project)]
 
-    def run(self, x, rs):
-        y = self.fuse.run(rs.cat([b.run(x, rs) for b in self.branches]), rs)
-        return rs.add(y, x if self.project is None else self.project.run(x, rs))
+    def run(self, x, rs, terms=None):
+        """terms: a kept term per branch and project conv, which then read x as their leading channels."""
+        shifts = terms or [None] * 4
+        y = self.fuse.run(rs.cat([b.run(x, rs, s) for b, s in zip(self.branches, shifts)]), rs)
+        return rs.add(y, x if self.project is None else self.project.run(x, rs, shifts[3]))
 
 
 class EncoderStage(_Block):
@@ -309,8 +319,26 @@ class DecoderStage(_Block):
         return [("up", self.up), ("block", self.block), ("drop", self.drop)]
 
     def run(self, x, skip, rs):
-        y = self.block.run(rs.cat([rs.apply(self.up, x), skip]), rs)
+        """skip: the encoder skip, or its kept terms (skip_terms): the block then convolves up(x) alone."""
+        x = rs.apply(self.up, x)
+        terms = skip if isinstance(skip, list) else None
+        y = self.block.run(x if terms else rs.cat([x, skip]), rs, terms)
         return y if self.drop is None else rs.apply(self.drop, y)
+
+    def skip_terms(self, skip):
+        """W_skip * skip + b for each branch and project conv, whose inputs are cat([up(x), skip]).
+
+        None if the block has no project conv: its identity shortcut reads skip itself.
+        """
+        block = self.block
+        if block.project is None:
+            return None
+        terms = []
+        for unit in (*block.branches, block.project):
+            conv, dt = unit.conv, skip.dtype
+            kernel = conv.kernel.value[:, conv.c_in - skip.shape[1] :].astype(dt, copy=False)
+            terms.append(conv._correlate(skip, kernel, conv.bias.value.astype(dt, copy=False)))
+        return terms
 
 
 class Model(_Block):
@@ -405,6 +433,12 @@ class Model(_Block):
         held, a HeldPrefix, shares the layers before the first dropout layer
         across the 'mc' forwards of one image: the first runs them, later
         ones start from what it kept (see HeldPrefix). Not with cache=True.
+
+        An 'mc' forward without cache, held or not, splits each decoder stage
+        whose skip is taken at or before the first dropout layer's stage: its
+        branch and project convs convolve the upsampled channels and add the
+        skip's terms (DecoderStage.skip_terms). That rounds differently from
+        the one conv over the concatenation that every other forward runs.
         """
         if mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}")
@@ -417,7 +451,7 @@ class Model(_Block):
         squeeze = x.ndim == 3
         x = self._check_input(np.asarray(x))
         if rng is None and seed is not None:
-            rng = np.random.default_rng(seed)
+            rng = np.random.default_rng(check_seed(seed))
         elif rng is None and mode != "eval" and any(
             (layer.p if rate is None else rate) > 0
             for _, layer in self.named_layers() if isinstance(layer, ChannelDropout)
@@ -426,7 +460,7 @@ class Model(_Block):
         if held is not None:
             held._bind(x)
         rs = _RunState(mode == "train", mode in ("train", "mc"), rng, rate, cache,
-                       record=x if cache else None, held=held)
+                       record=x if cache else None, held=held, split=mode == "mc" and not cache)
         self._tape = None
         probs = self._run(x, rs)
         self._tape = rs.tape
@@ -438,6 +472,7 @@ class Model(_Block):
         A filled holder starts it at the first dropout layer; an empty one is filled there.
         """
         held = rs.held
+        first = next((i for i, st in enumerate(self.encoder) if st.drop is not None), None)
         if held is None or held.stage is None:
             for blk in self.context:
                 h = blk.run(h, rs)
@@ -450,8 +485,11 @@ class Model(_Block):
             f, h = st.run(h, rs)
             if st.pool is not None:
                 skips.append(f)
-            if held is not None and held.stage is None and st.drop is not None:
-                held.stage, held.skips, held.drop_input = i, tuple(skips), f
+            if i == first:  # the first dropout layer: what a holder keeps
+                if rs.split:  # skip k is read by the k-th decoder stage from the end
+                    skips = [self.decoder[-1 - k].skip_terms(s) or s for k, s in enumerate(skips)]
+                if held is not None:
+                    held.stage, held.skips, held.drop_input = i, tuple(skips), f
         for st in self.decoder:
             h = st.run(h, skips.pop(), rs)
         return rs.apply(self.softmax, rs.apply(self.head, h))
@@ -502,7 +540,7 @@ def count_parameters(params) -> int:
 
 def build_model(cfg: ModelConfig, seed=0) -> Model:
     """Deterministic construction: same (cfg, seed) -> identical weights."""
-    return Model(cfg, np.random.default_rng(seed))
+    return Model(cfg, np.random.default_rng(check_seed(seed)))
 
 
 def micro_config(num_classes=4, dropout_rate=0.2) -> ModelConfig:

@@ -19,6 +19,7 @@ from .errors import (
     ScanFormatError,
     SceneSpecError,
 )
+from .layers import check_seed
 
 KITTI_POINT_BYTES = 16  # four little-endian float32: x, y, z, intensity
 KITTI_LABEL_BYTES = 4   # one little-endian uint32, semantic id in the low 16 bits
@@ -284,7 +285,7 @@ def generate_synthetic_scene(seed: int, spec: SceneSpec) -> LidarScan:
     if len(wanted) < 2:
         raise SceneSpecError("scene must cover at least two classes")
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(check_seed(seed))
     fov = abs(spec.fov_down) + abs(spec.fov_up)
     v_idx, u_idx = np.meshgrid(np.arange(spec.rows), np.arange(spec.cols), indexing="ij")
     pitch = (1.0 - (v_idx.ravel() + 0.5) / spec.rows) * fov - abs(spec.fov_down)
@@ -322,7 +323,7 @@ def default_scene_spec(seed: int, num_classes: int = 4, rows: int = 64, cols: in
     """Randomized desk-scale scene: ground plane, boxes, poles, wall slabs."""
     if not 2 <= num_classes <= 4:
         raise SceneSpecError("default scene supports 2..4 classes")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(check_seed(seed))
     prims = [Primitive("plane", 0, (-1.7,))]
     if num_classes >= 2:
         for _ in range(4):

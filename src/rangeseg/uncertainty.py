@@ -4,8 +4,11 @@ Epistemic: n stochastic forward passes with dropout kept active (batch norm
 stays in eval statistics), per-pixel value = sum over classes of the
 population variance of the per-trial probabilities. Each trial is one
 Model.forward, and all share one HeldPrefix: the image's first forward runs
-the layers before the first dropout layer and every later one, at any rate,
-starts from what it kept. Aleatoric: the input is wrapped as a Gaussian with
+the layers before the first dropout layer and keeps that layer's input and,
+in place of each pooled skip taken before it, the skip's term W_skip * skip
++ b of every decoder conv that reads it (see HeldPrefix). Every later one, at
+any rate, starts from there and convolves only the upsampled channels in
+those decoder convs. Aleatoric: the input is wrapped as a Gaussian with
 per-channel sensor noise and pushed through the ADF rules; per-pixel value =
 sum over classes of the output variance. The grid search picks the dropout
 rate minimizing a Gaussian negative log-likelihood of the one-hot labels

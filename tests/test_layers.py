@@ -74,6 +74,22 @@ class TestConv2d:
         with pytest.raises(StaleStateError):
             conv.backward(np.zeros((1, 1, 4, 4), dtype=np.float32))
 
+    @pytest.mark.parametrize("k, dilation", [(3, 1), (3, 3), (1, 1)])
+    def test_shift_forward_is_the_conv_over_the_concatenation(self, k, dilation):
+        # linear in the input channels, zero-padded alike: W * cat([x, s]) + b = W_x * x + (W_s * s + b)
+        rng = np.random.default_rng(0)
+        conv = Conv2d(7, 4, k=k, dilation=dilation, rng=rng)
+        conv.bias.value[:] = rng.normal(size=4)
+        conv.cast(np.float64)
+        x, s = rng.normal(size=(2, 3, 6, 8)), rng.normal(size=(2, 4, 6, 8))
+        skip_conv = Conv2d(4, 4, k=k, dilation=dilation).cast(np.float64)
+        skip_conv.kernel.value[...] = conv.kernel.value[:, 3:]
+        skip_conv.bias.value[...] = conv.bias.value
+        whole = conv.forward(np.concatenate([x, s], axis=1))
+        np.testing.assert_allclose(conv.forward(x, shift=skip_conv.forward(s)), whole, rtol=1e-12, atol=1e-12)
+        with pytest.raises(ConfigError, match="shift"):
+            conv.forward(x, cache=True, shift=skip_conv.forward(s))
+
     CASES = [(3, 1), (3, 2), (1, 1)]
     CASE_IDS = ["3-1-None", "3-2-None", "1-1-None"]  # k-dilation-padding; None: the layer's same padding
 

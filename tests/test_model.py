@@ -62,6 +62,16 @@ class TestDeterminism:
             assert na == nb
             np.testing.assert_array_equal(pa.value, pb.value)
 
+    @pytest.mark.parametrize("seed", [-1, 2.5, True], ids=["negative", "float", "bool"])
+    def test_build_seed_must_be_non_negative_integer(self, seed):
+        with pytest.raises(ConfigError, match="seed"):
+            build_model(micro_config(num_classes=4), seed=seed)
+
+    @pytest.mark.parametrize("seed", [-1, 2.5, True], ids=["negative", "float", "bool"])
+    def test_forward_seed_must_be_non_negative_integer(self, micro_model, seed):
+        with pytest.raises(ConfigError, match="seed"):
+            micro_model.forward(rand_input((1, 5, 16, 32)), mode="mc", seed=seed)
+
     def test_different_seed_different_weights(self):
         cfg = micro_config(num_classes=4)
         a = build_model(cfg, seed=3)
@@ -191,14 +201,16 @@ class TestInPlaceRoute:
         x_before, state = x.copy(), self.state(model)
         held = HeldPrefix()
         model.forward(x, mode="mc", rng=np.random.default_rng(0), held=held)
-        kept = [held.image, held.drop_input, *held.skips]
+        def kept_arrays():  # micro splits both decoder stages: each skip is held as its 4 kept terms
+            return [held.image, held.drop_input, *(t for terms in held.skips for t in terms)]
+
+        kept = kept_arrays()
         kept_before = [a.copy() for a in kept]
         for rate in (None, 0.0, 0.3):
             for s in (1, 2):
                 model.forward(x, mode="mc", rng=np.random.default_rng(s), rate=rate, held=held)
-        self.assert_same([x_before] + kept_before + state,
-                         [x] + [held.image, held.drop_input, *held.skips] + self.state(model))
-        assert all(a is b for a, b in zip(kept, [held.image, held.drop_input, *held.skips]))
+        self.assert_same([x_before] + kept_before + state, [x] + kept_arrays() + self.state(model))
+        assert len(kept) == 2 + 2 * 4 and all(a is b for a, b in zip(kept, kept_arrays()))
         self.assert_caches_cleared(model)
 
 

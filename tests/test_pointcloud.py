@@ -8,6 +8,7 @@ import pytest
 
 from rangeseg.errors import (
     ClassMapError,
+    ConfigError,
     InvalidPointError,
     MissingLabelsError,
     ScanFormatError,
@@ -235,6 +236,16 @@ class TestSyntheticScenes:
         # the coarse marcher can differ by a pixel or two along edges
         assert abs(counts[1] - expected[1]) <= max(3, 0.02 * expected[1])
         assert abs(counts[0] - expected[0]) <= max(3, 0.02 * expected[0])
+
+    @pytest.mark.parametrize("seed", [-1, 2.5, True], ids=["negative", "float", "bool"])
+    def test_spec_seed_must_be_non_negative_integer(self, seed):
+        with pytest.raises(ConfigError, match="seed"):
+            default_scene_spec(seed)
+
+    @pytest.mark.parametrize("seed", [-1, 2.5, True], ids=["negative", "float", "bool"])
+    def test_scene_seed_must_be_non_negative_integer(self, seed):
+        with pytest.raises(ConfigError, match="seed"):
+            generate_synthetic_scene(seed, default_scene_spec(2))
 
     def test_ranges_bounded_by_max_range(self):
         scan = generate_synthetic_scene(seed=2, spec=default_scene_spec(2))

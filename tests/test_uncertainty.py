@@ -1,9 +1,13 @@
 """MC-dropout and noise-propagation uncertainty maps, and rate calibration."""
 
+import os
+
 import numpy as np
 import pytest
 
 import rangeseg.uncertainty as uncertainty
+from rangeseg.adf import GaussianTensor
+from rangeseg.checkpoint import load_checkpoint
 from rangeseg.errors import (
     ConfigError,
     DimensionError,
@@ -14,6 +18,8 @@ from rangeseg.errors import (
 )
 from rangeseg.layers import Conv2d
 from rangeseg.model import HeldPrefix, ModelConfig, build_model, micro_config
+from rangeseg.pointcloud import default_scene_spec, generate_synthetic_scene
+from rangeseg.projection import ProjectionConfig, build_range_image
 from rangeseg.uncertainty import (
     SensorNoiseModel,
     adf_infer,
@@ -207,22 +213,39 @@ class TestBatchedTrials:
         np.testing.assert_array_equal(out.epistemic, trials.var(axis=0).sum(axis=0))
 
     def test_prefix_runs_once_at_batch_one(self, monkeypatch):
+        # every conv runs through forward once per trial, with an eval forward's output shape:
+        # the benchmark tracer counts a forward's MACs from those shapes
         cfg, shape = TRIAL_CONFIGS["deep"]
         model = build_model(cfg, seed=2)
         x = np.random.default_rng(4).normal(size=(5,) + shape).astype(np.float32)
-        batches = {}
+        calls = []  # (name, batch, output shape, given a shift) per conv forward
         for name, layer in model.named_layers():
             if isinstance(layer, Conv2d):
-                def spy(x, cache=False, name=name, forward=layer.forward):
-                    batches.setdefault(name, []).append(len(x))
-                    return forward(x, cache=cache)
+                def spy(x, cache=False, shift=None, name=name, forward=layer.forward):
+                    y = forward(x, cache=cache, shift=shift)
+                    calls.append((name, len(x), y.shape, shift is not None))
+                    return y
                 monkeypatch.setattr(layer, "forward", spy)
         out = mc_dropout_infer(model, x, 4, seed=5)
+        mc_calls = calls[:]
+        calls.clear()
+        model.forward(x, mode="eval")
         monkeypatch.undo()
-        assert len(batches) == sum(isinstance(layer, Conv2d) for _, layer in model.named_layers())
+        eval_shapes = {name: y_shape for name, _, y_shape, _ in calls}
+        n_convs = sum(isinstance(layer, Conv2d) for _, layer in model.named_layers())
+        assert len(eval_shapes) == len(calls) == n_convs
+        assert not any(shifted for *_, shifted in calls)
+        batches = {}
+        for name, batch, y_shape, _ in mc_calls:
+            batches.setdefault(name, []).append(batch)
+            assert y_shape == eval_shapes[name], name
+        assert len(batches) == len(eval_shapes)
         prefix = ("context", "enc0.", "enc1.block.")
         for name, seen in batches.items():
             assert seen == [1] * (1 if name.startswith(prefix) else 4), name
+        # dec1 and dec2 read the skips of enc1 (the first dropout stage) and enc0; dec0 reads enc2's
+        assert {name for name, *_, shifted in mc_calls if shifted} == {
+            f"dec{j}.block.{u}.conv" for j in (1, 2) for u in ("branch1", "branch2", "branch3", "project")}
         trials = per_trial_forwards(model, x, 4, seed=5, rate=None)
         np.testing.assert_array_equal(out.mean_prediction, trials.mean(axis=0))
 
@@ -246,6 +269,64 @@ class TestBatchedTrials:
         monkeypatch.setattr(stage, "run", one_row_skip)
         with pytest.raises(ValueError):
             model.forward(np.stack([image, image]), mode=mode, rng=np.random.default_rng(0))
+
+
+class TestSplitDecoder:
+    """'mc' forwards add each held skip's kept terms to convs over the upsampled channels alone.
+
+    At rate 0 dropout is the identity, so an 'mc' forward differs from the
+    eval forward by the split's rounding alone: W * cat([u, s]) + b equals
+    W_u * u + (W_s * s + b) in exact arithmetic.
+    """
+
+    # dec0's block shortcut is the identity (40 = 32 / 4 + 32 channels), so only dec1 splits
+    IDENTITY = (ModelConfig(num_classes=3, base_channels=8, encoder_channels=(8, 16, 32), num_pool_stages=2,
+                            decoder_channels=(40, 8)), (16, 32))
+
+    @pytest.mark.parametrize("config", ["micro", "deep", "identity"])
+    def test_mc_at_rate_zero_is_eval_in_float64(self, config):
+        cfg, shape = self.IDENTITY if config == "identity" else TRIAL_CONFIGS[config]
+        model = build_model(cfg, seed=2).cast(np.float64)
+        x = np.random.default_rng(4).normal(size=(5,) + shape)
+        np.testing.assert_allclose(model.forward(x, mode="mc", seed=0, rate=0.0), model.forward(x),
+                                   rtol=1e-12, atol=0)
+
+    def test_mc_at_rate_zero_is_eval_within_float32_bound(self):
+        # the trained micro checkpoint on a 64x512 scan: the README's bound on the MC maps' re-rounding
+        path = os.path.join(os.path.dirname(__file__), "..", "benchmarks", "micro.rseg")
+        model, _, _ = load_checkpoint(path)
+        scan = generate_synthetic_scene(5, default_scene_spec(5, rows=64, cols=512))
+        x = build_range_image(scan, ProjectionConfig(w=512, h=64)).channels
+        dev = np.abs(model.forward(x, mode="mc", seed=0, rate=0.0) - model.forward(x)).max()
+        assert dev <= 3e-6
+
+    def test_other_forwards_run_every_conv_whole(self, monkeypatch):
+        # eval, recorded train (and its backward), recorded mc and ADF read each conv's full input
+        cfg, shape = TRIAL_CONFIGS["deep"]
+        model = build_model(cfg, seed=2)
+        x = np.random.default_rng(4).normal(size=(5,) + shape).astype(np.float32)
+        shifts, narrow = [], []
+        for name, layer in model.named_layers():
+            if isinstance(layer, Conv2d):
+                def spy(x, cache=False, shift=None, forward=layer.forward):
+                    shifts.append(shift)
+                    return forward(x, cache=cache, shift=shift)
+
+                def correlate(x, weight, *args, layer=layer, name=name, inner=layer._correlate, **kwargs):
+                    if x.shape[1] not in (layer.c_in, layer.c_out):  # the input, or backward's output gradient
+                        narrow.append(name)
+                    return inner(x, weight, *args, **kwargs)
+                monkeypatch.setattr(layer, "forward", spy)
+                monkeypatch.setattr(layer, "_correlate", correlate)
+        model.forward(x)
+        for mode in ("train", "mc"):
+            probs = model.forward(x, mode=mode, seed=0, cache=True)
+            model.backward(np.ones_like(probs))
+        model.adf(GaussianTensor(x[None].astype(np.float64), np.full((1,) + x.shape, 1e-3)))
+        assert len(shifts) == 3 * sum(isinstance(layer, Conv2d) for _, layer in model.named_layers())
+        assert all(s is None for s in shifts) and not narrow
+        model.forward(x, mode="mc", seed=0)  # the spies do see a split
+        assert narrow and any(s is not None for s in shifts)
 
 
 class TestHeldPrefix:
