@@ -3,7 +3,9 @@
 Tensors are plain numpy arrays in NCHW layout, float32 in production (tests
 may cast layers to float64). Each layer caches what its backward pass needs
 when forward is called with cache=True; backward without a cache raises.
-The model records these calls on a tape and replays their backwards in reverse.
+The model records these calls on a tape and replays their backwards in reverse,
+dropping each layer's cache once its backward has read it; a backward called
+directly keeps the cache.
 
 Every layer returns an array of its input's dtype: parameters of another
 dtype are read in it, or each op's result is stored in it. No layer writes into
@@ -87,13 +89,14 @@ class Layer:
 # de Geijn, ACM TOMS 2008); single GEMMs ran up to 2x slower. The pad changes
 # only the stride between rows: BLAS runs the same kernels over the same values
 # in the same summation order, so every product is bit-identical. 1x1 convs use
-# x itself as columns, and the weight gradient uses gy as it comes: copying
-# them to a padded buffer gained nothing end to end. Elementwise ufuncs run
-# slower on the 4-D (n, c, h, w) view of a padded output than on its
-# (n, c, h*w) view: 3.1-6.5x for the bias add and 2.3-2.9x for an in-place
-# leaky ReLU, at 8-64 channels (2-vCPU Xeon). So in-place work on conv outputs
-# (the bias add, LeakyReLU and BatchNorm2d) uses views that keep h*w as one
-# axis: (n, c, h*w), or the (n*c, h*w) rows of _row_blocks.
+# x itself as columns, and the weight gradient's cols @ gy^T reads gy as it
+# comes, as its transposed right operand: copying either to a padded buffer
+# gained nothing end to end. Elementwise ufuncs run slower on the 4-D
+# (n, c, h, w) view of a padded output than on its (n, c, h*w) view: 3.1-6.5x
+# for the bias add and 2.3-2.9x for an in-place leaky ReLU, at 8-64 channels
+# (2-vCPU Xeon). So in-place work on conv outputs (the bias add, LeakyReLU and
+# BatchNorm2d) uses views that keep h*w as one axis: (n, c, h*w), or the
+# (n*c, h*w) rows of _row_blocks.
 _PITCH_PAD = 16
 
 # Least multiply-accumulates in one band's GEMM. OpenBLAS 0.3.31 sends a GEMM
@@ -246,11 +249,13 @@ class Conv2d(Layer):
         x, y_shape = self._take_cache()
         if gy.shape != y_shape:
             raise DimensionError(f"gradient shape {gy.shape} != forward output {y_shape}")
-        gy_flat = gy.reshape(len(gy), self.c_out, -1)
-        gw = 0  # the columns are rebuilt, not cached: a cache would hold k*k copies of x
+        gy_t = gy.reshape(len(gy), self.c_out, -1).transpose(0, 2, 1)
+        gw = 0  # (c*k*k, c_out); the columns are rebuilt, not cached: a cache would hold k*k copies of x
         for s, _, cols in self._columns(x, self.padding, self.c_out, whole=True):
-            gw = gw + np.matmul(gy_flat[s : s + len(cols)], cols.transpose(0, 2, 1)).sum(axis=0)
-        self.kernel.grad += gw.reshape(self.kernel.grad.shape)
+            # cols @ gy^T, not gy @ cols^T: 1.06-1.9x faster on this net's shapes (2-vCPU Xeon,
+            # one BLAS thread), and bit-equal with OpenBLAS 0.3.31, which tests/test_layers.py pins
+            gw = gw + np.matmul(cols, gy_t[s : s + len(cols)]).sum(axis=0)
+        self.kernel.grad += gw.T.reshape(self.kernel.grad.shape)
         self.bias.grad += gy.sum(axis=(0, 2, 3))
         flipped = self.kernel.value.astype(gy.dtype, copy=False)[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
         return self._correlate(gy, flipped, p=self.dilation * (self.k - 1) - self.padding)
@@ -325,9 +330,20 @@ class BatchNorm2d(Layer):
             return gxhat * inv_std[None, :, None, None]
         n, _, h, w = gy.shape
         m = n * h * w
-        sum_g = gxhat.sum(axis=(0, 2, 3), keepdims=True)
-        sum_gx = (gxhat * xhat).sum(axis=(0, 2, 3), keepdims=True)
-        return (inv_std[None, :, None, None] / m) * (m * gxhat - sum_g - xhat * sum_gx)
+        sum_g = gxhat.sum(axis=(0, 2, 3))
+        sum_gx = (gxhat * xhat).sum(axis=(0, 2, 3))
+        # (inv_std / m) * (m * gxhat - sum_g - xhat * sum_gx), in place on gxhat's rows, op by op
+        rows, blocks = _row_blocks(gxhat)
+        xhat_rows = _row_blocks(xhat)[0]
+        per_row = [np.tile(v, n)[:, None] for v in (sum_g, sum_gx, inv_std / m)]
+        for b in blocks:
+            sg, sgx, scale = (v[b] for v in per_row)
+            r = rows[b]
+            r *= m
+            r -= sg
+            r -= xhat_rows[b] * sgx
+            r *= scale
+        return rows.reshape(gy.shape)
 
 
 class LeakyReLU(Layer):

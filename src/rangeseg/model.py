@@ -202,7 +202,9 @@ class HeldPrefix:
 
 def _layer_backward(layer, g):
     # bound by partial, not a closure, so a deep copy of the model replays onto its own layers
-    return [layer.backward(g)]
+    gx = layer.backward(g)
+    layer._cache = None  # read once: the replay frees each cache as it passes
+    return [gx]
 
 
 class _Block:
@@ -367,7 +369,7 @@ class Model(_Block):
             c = c_out
         self.head = Conv2d(c, cfg.num_classes, k=1, rng=rng)
         self.softmax = Softmax()
-        self._tape = None  # the last forward's, if it was recorded
+        self._tape = None  # (tape, output shape) of the last forward, if it was recorded
 
     # ---- plumbing ----------------------------------------------------
 
@@ -463,7 +465,7 @@ class Model(_Block):
                        record=x if cache else None, held=held, split=mode == "mc" and not cache)
         self._tape = None
         probs = self._run(x, rs)
-        self._tape = rs.tape
+        self._tape = None if rs.tape is None else (rs.tape, probs.shape)
         return probs[0] if squeeze else probs
 
     def _run(self, h, rs):
@@ -498,12 +500,19 @@ class Model(_Block):
         """Replay the last forward's tape from d(loss)/d(probabilities); returns d(loss)/d(input).
 
         Accumulates into Param.grad. A node's gradient parts are summed in
-        the order the forward read the array, which fixes the rounding.
+        the order the forward read the array, which fixes the rounding. The
+        replay consumes the tape and frees each layer's cache once its
+        backward has read it, so a second call raises StaleStateError; a
+        gradient of the wrong shape is refused first and keeps both.
         """
-        tape = self._tape
-        if tape is None:
+        if self._tape is None:
             raise StaleStateError("Model.backward needs a cache-enabled forward")
-        parts = [[] for _ in tape] + [[g_probs[None] if g_probs.ndim == 3 else g_probs]]
+        tape, shape = self._tape
+        g = g_probs[None] if g_probs.ndim == 3 else g_probs
+        if g.shape != shape:
+            raise DimensionError(f"gradient shape {g_probs.shape} != forward output {shape}")
+        self._tape = None
+        parts = [[] for _ in tape] + [[g]]
         for node in range(len(tape), -1, -1):
             g = parts[node].pop()  # the replay meets the readers last first
             while parts[node]:

@@ -9,6 +9,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -151,6 +152,7 @@ def train(
     log = open(log_path, "w", encoding="utf-8") if log_path else None
     try:
         for epoch in range(cfg.epochs):
+            t0 = time.perf_counter()
             order = rng_shuffle.permutation(len(scans))
             cm = ConfusionMatrix(c)
             loss_sums = np.zeros(3)
@@ -193,6 +195,7 @@ def train(
                 "loss_wce": loss_sums[1] / steps,
                 "loss_ls": loss_sums[2] / steps,
                 "train_miou": cm.miou(),
+                "epoch_s": time.perf_counter() - t0,
             }
             result.history.append(record)
             if log:

@@ -223,6 +223,42 @@ class TestConv2d:
         assert band < 4 << 20
         assert peak <= bound
 
+    # (c_in, c_out, k, dilation, h, w): micro layers at 64x512 and 32x256, then
+    # default-config layers at their 64x2048 extents, the widest cropped
+    FLIP_SHAPES = [
+        (5, 8, 3, 1, 64, 512), (8, 8, 3, 2, 64, 512), (8, 16, 3, 3, 64, 512), (48, 16, 1, 1, 64, 512),
+        (12, 8, 3, 2, 64, 512), (24, 8, 1, 1, 64, 512), (16, 32, 3, 2, 32, 256), (96, 32, 1, 1, 32, 256),
+        (24, 16, 3, 3, 32, 256),
+        (48, 32, 3, 1, 16, 512), (64, 128, 3, 2, 16, 512), (128, 256, 3, 1, 8, 256),
+        (256, 256, 3, 3, 4, 128), (384, 128, 1, 1, 8, 256),
+    ]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("c_in, c_out, k, dilation, h, w", FLIP_SHAPES)
+    def test_weight_gradient_gemm_flip_is_bit_exact(self, c_in, c_out, k, dilation, h, w, dtype):
+        # backward sums cols @ gy^T and transposes it once; that this equals
+        # gy @ cols^T bit for bit is a property of the BLAS build, not of the math
+        rng = np.random.default_rng(c_in * c_out + k * dilation)
+        conv = Conv2d(c_in, c_out, k=k, dilation=dilation, rng=rng)
+        x = rng.normal(size=(1, c_in, h, w)).astype(dtype)
+        gy = rng.normal(size=(1, c_out, h * w)).astype(dtype)
+        [(_, _, cols)] = conv._columns(x, conv.padding, c_out, whole=True)
+        assert cols.shape == (1, c_in * k * k, h * w)
+        flipped = np.matmul(cols, gy.transpose(0, 2, 1)).transpose(0, 2, 1)
+        plain = np.matmul(gy, cols.transpose(0, 2, 1))
+        assert flipped.dtype == plain.dtype == dtype
+        assert flipped.tobytes() == plain.tobytes()
+
+    def test_direct_backward_runs_twice_on_one_cache(self):
+        rng = np.random.default_rng(6)
+        conv = Conv2d(3, 4, rng=rng)
+        y = conv.forward(rng.normal(size=(2, 3, 6, 8)).astype(np.float32), cache=True)
+        gy = rng.normal(size=y.shape).astype(np.float32)
+        gx = conv.backward(gy)
+        once = conv.kernel.grad.copy()
+        np.testing.assert_array_equal(conv.backward(gy), gx)
+        np.testing.assert_array_equal(conv.kernel.grad, once + once)
+
     def test_model_output_is_contiguous(self):
         # padded conv outputs are views; none may reach the caller of Model.forward
         x = np.random.default_rng(12).normal(size=(2, 5, 8, 128)).astype(np.float32)
@@ -290,6 +326,16 @@ class TestBatchNorm2d:
             outs.append(bn.forward(x, train=train, cache=cache))
         assert outs[0].dtype == outs[1].dtype
         np.testing.assert_array_equal(outs[0], outs[1])
+
+    def test_direct_backward_runs_twice_on_one_cache(self):
+        rng = np.random.default_rng(7)
+        bn = BatchNorm2d(3)
+        y = bn.forward(rng.normal(size=(2, 3, 6, 8)).astype(np.float32), train=True, cache=True)
+        gy = rng.normal(size=y.shape).astype(np.float32)
+        gx = bn.backward(gy)
+        once = bn.gamma.grad.copy()
+        np.testing.assert_array_equal(bn.backward(gy), gx)
+        np.testing.assert_array_equal(bn.gamma.grad, once + once)
 
     def test_buffers_listed(self):
         names = [name for name, _ in BatchNorm2d(2).buffers()]

@@ -147,6 +147,39 @@ class TestBackward:
         with pytest.raises(StaleStateError):
             model.backward(np.ones_like(y))
 
+    def test_backward_frees_every_recorded_cache(self):
+        model = build_model(micro_config(num_classes=4), seed=0)
+        y = model.forward(rand_input((1, 5, 16, 32)), mode="train", seed=0, cache=True)
+        layers = [layer for _, layer in model.named_layers()]
+        assert all(layer._cache is not None for layer in layers)  # active dropout: every layer is recorded
+        model.backward(np.ones_like(y))
+        for layer in layers:
+            with pytest.raises(StaleStateError):
+                layer.backward(np.ones((1, 1, 1, 1), dtype=np.float32))
+
+    def test_second_backward_raises(self):
+        model = build_model(micro_config(num_classes=4), seed=0)
+        y = model.forward(rand_input((1, 5, 16, 32)), mode="train", seed=0, cache=True)
+        model.backward(np.ones_like(y))
+        with pytest.raises(StaleStateError):
+            model.backward(np.ones_like(y))
+
+    @pytest.mark.parametrize("shape", [(1, 4, 16, 32), (4, 16, 32), (2, 4, 1, 1)], ids=str)
+    def test_gradient_of_another_shape_is_refused_before_the_replay(self, shape):
+        model = build_model(micro_config(num_classes=4), seed=0)
+        y = model.forward(rand_input((2, 5, 16, 32)), mode="train", seed=0, cache=True)
+        twin = copy.deepcopy(model)
+        model.zero_grads()
+        twin.zero_grads()
+        with pytest.raises(DimensionError, match=r"\(2, 4, 16, 32\)") as err:
+            model.backward(np.ones(shape, dtype=np.float32))
+        assert str(shape) in str(err.value)
+        assert not any(np.any(p.grad) for _, p in model.named_params())
+        g = np.random.default_rng(1).normal(size=y.shape).astype(np.float32)
+        np.testing.assert_array_equal(model.backward(g), twin.backward(g))  # the tape and caches were kept
+        for (_, a), (_, b) in zip(model.named_params(), twin.named_params()):
+            np.testing.assert_array_equal(a.grad, b.grad)
+
     def test_deep_copy_replays_onto_its_own_layers(self):
         model = build_model(micro_config(num_classes=4), seed=0)
         y = model.forward(rand_input((1, 5, 16, 32)), mode="train", seed=0, cache=True)

@@ -2,6 +2,7 @@
 
 import copy
 import json
+import math
 
 import numpy as np
 import pytest
@@ -153,8 +154,10 @@ class TestTrainingLoop:
         assert len(lines) == 2
         for rec, hist in zip(lines, result.history):
             assert set(rec) == {"epoch", "lr", "loss_total", "loss_wce",
-                                "loss_ls", "train_miou"}
+                                "loss_ls", "train_miou", "epoch_s"}
             assert rec["loss_total"] == pytest.approx(hist["loss_total"])
+            assert math.isfinite(rec["epoch_s"]) and rec["epoch_s"] > 0
+            assert rec["epoch_s"] == hist["epoch_s"]  # JSON keeps a float's repr exactly
 
     def test_total_is_sum_of_parts(self):
         model = build_model(micro_config(num_classes=4), seed=0)
